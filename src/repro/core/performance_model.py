@@ -160,6 +160,13 @@ class PerformanceModel:
     workload: WorkloadSpec
     efficiency: EfficiencyModel = field(default_factory=EfficiencyModel)
     padded: bool = False
+    #: Micro-batch-size -> (pre-attention, O-projection, FFN) operator
+    #: costs.  They depend on the model and ``mu`` only, while the policy
+    #: search and step pricing ask for one layer breakdown per policy and
+    #: context length, so each is computed once per ``mu``.
+    _micro_batch_costs: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------
     # Effective hardware rates
@@ -228,10 +235,16 @@ class PerformanceModel:
         n_ub = policy.num_micro_batches
         dtype_bytes = self.model.dtype.num_bytes
 
-        pre = layer_norm_cost(self.model, mu).combine(qkv_proj_cost(self.model, mu))
+        costs = self._micro_batch_costs.get(mu)
+        if costs is None:
+            costs = (
+                layer_norm_cost(self.model, mu).combine(qkv_proj_cost(self.model, mu)),
+                o_proj_cost(self.model, mu),
+                ffn_cost(self.model, mu),
+            )
+            self._micro_batch_costs[mu] = costs
+        pre, o_proj, ffn = costs
         attn = attention_decode_cost(self.model, mu, context_len)
-        o_proj = o_proj_cost(self.model, mu)
-        ffn = ffn_cost(self.model, mu)
 
         components: dict[str, float] = {}
 

@@ -29,8 +29,7 @@ from typing import Sequence
 
 from repro.hardware import get_hardware
 from repro.models import get_model
-from repro.serving.metrics import SLO
-from repro.serving.server import ServingSystem, default_slo
+from repro.serving import SLO, ServingSystem, default_slo
 from repro.utils.errors import ConfigurationError
 from repro.workloads import chat
 

@@ -20,15 +20,16 @@ from typing import Callable, Sequence
 
 from repro.hardware import get_hardware
 from repro.models import get_model
-from repro.serving.arrivals import (
+from repro.serving import (
+    SCHEDULING_POLICIES,
+    SLO,
     ArrivalProcess,
     DeterministicProcess,
     GammaProcess,
     PoissonProcess,
+    ServingSystem,
+    default_slo,
 )
-from repro.serving.metrics import SLO
-from repro.serving.scheduler import SCHEDULING_POLICIES
-from repro.serving.server import ServingSystem, default_slo
 from repro.systems import DeepSpeedZeroSystem, FlexGenSystem, MoELightningSystem
 from repro.systems.base import OffloadingSystem
 from repro.utils.errors import ConfigurationError

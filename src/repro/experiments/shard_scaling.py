@@ -106,9 +106,9 @@ def run_shard_scaling(
 
     rows: list[dict[str, object]] = []
     for index, num_shards in enumerate(shard_counts):
-        # One shard behind the router reproduces the plain ServingSystem
-        # exactly (tested), so every point goes through the same machinery
-        # and reports the same columns.
+        # ServingSystem is itself a one-shard ShardedServingSystem, so the
+        # 1-shard point is the single-engine run and every point reports
+        # the same columns.
         sharded = ShardedServingSystem(
             backend,
             workload,

@@ -13,7 +13,9 @@ granularity, without perturbing the simulation:
 * :mod:`repro.obs.sampler` — fixed-interval time series over simulated
   time, exported as JSONL and rendered as ASCII sparklines;
 * :mod:`repro.obs.telemetry` — the :class:`Telemetry` facade the serving
-  stack emits into (``ServingSystem.run(..., telemetry=...)``);
+  stack emits into (``run(..., telemetry=...)`` on either serving system:
+  the event loop samples time series and records route instants, each
+  engine core records its spans, admits, rejects and finishes);
 * :mod:`repro.obs.trace_cli` — the ``repro-trace`` CLI: validate and
   summarise exported traces.
 

@@ -33,12 +33,12 @@ Invariants (property-tested in ``tests/properties``):
 
 from __future__ import annotations
 
-import heapq
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from repro.runtime.memory_manager import MemoryPool, PagedAllocation
+from repro.runtime.memory_manager import MemoryPool
 from repro.utils.errors import MemoryManagerError
 from repro.utils.validation import require_positive, require_positive_int
 
@@ -87,8 +87,15 @@ class KVBlock:
     num_tokens: int
     ref_count: int = 0
     block_hash: int | None = None
-    cpu_allocation: PagedAllocation | None = None
-    gpu_allocation: PagedAllocation | None = None
+    #: Page ids charged in each pool (empty for a pool the split skips).
+    #: Bare ids rather than ``PagedAllocation`` records: blocks are
+    #: the store's most numerous long-lived objects, so each carries no
+    #: extra garbage-collected object per pool.
+    cpu_pages: tuple[int, ...] = ()
+    gpu_pages: tuple[int, ...] = ()
+    #: Bytes charged for this block in each pool (page-rounded).
+    cpu_bytes: float = 0.0
+    gpu_bytes: float = 0.0
     last_use: int = 0
     #: Whether the block currently sits in the store's reusable cache
     #: (refcount zero, retained for prefix matching) and is therefore
@@ -102,16 +109,6 @@ class KVBlock:
     def is_shareable(self) -> bool:
         """Whether the block is indexed by content (a full prefix block)."""
         return self.block_hash is not None
-
-    @property
-    def cpu_bytes(self) -> float:
-        """CPU bytes charged for this block (page-rounded)."""
-        return self.cpu_allocation.total_bytes if self.cpu_allocation else 0.0
-
-    @property
-    def gpu_bytes(self) -> float:
-        """GPU bytes charged for this block (page-rounded)."""
-        return self.gpu_allocation.total_bytes if self.gpu_allocation else 0.0
 
 
 class SharedBlockStore:
@@ -151,6 +148,10 @@ class SharedBlockStore:
         self._block_gpu_pages = (
             gpu_pool.pages_needed(gpu_block_bytes) if gpu_pool is not None else 0
         )
+        self._block_cpu_charge = self._block_cpu_pages * cpu_pool.page_bytes
+        self._block_gpu_charge = (
+            self._block_gpu_pages * gpu_pool.page_bytes if gpu_pool is not None else 0.0
+        )
         self.blocks: dict[int, KVBlock] = {}
         self._hash_index: dict[int, int] = {}
         self._next_block_id = 0
@@ -177,11 +178,11 @@ class SharedBlockStore:
         self._cached_cpu_pages = 0
         self._cached_gpu_pages = 0
         self._num_cached = 0
-        # LRU eviction order with lazy deletion: entries are
-        # ``(last_use, block_id)`` pushed when a block enters the cache;
-        # stale entries (block acquired again, re-cached later, or freed)
-        # are skipped on pop by re-checking against the live block.
-        self._lru_heap: list[tuple[int, int]] = []
+        # LRU eviction order: the cached blocks keyed by id, oldest first.
+        # A block enters the cache right after a touch sets its
+        # ``last_use`` to the newest clock value, so insertion order is
+        # ``last_use`` order and the head is always the LRU victim.
+        self._lru: OrderedDict[int, KVBlock] = OrderedDict()
 
     # ------------------------------------------------------------------
     # Introspection / accounting
@@ -234,12 +235,6 @@ class SharedBlockStore:
     def _split_bytes(self) -> tuple[float, float]:
         return self._block_cpu_bytes, self._block_gpu_bytes
 
-    def _evictable(self) -> list[KVBlock]:
-        return sorted(
-            (block for block in self.blocks.values() if block.ref_count == 0),
-            key=lambda block: block.last_use,
-        )
-
     def _cache(self, block: KVBlock) -> None:
         """Count a block entering the reusable cache (refcount hit zero)."""
         block.cached = True
@@ -249,7 +244,7 @@ class SharedBlockStore:
         # split does not touch), so no allocation needs to be consulted.
         self._cached_cpu_pages += self._block_cpu_pages
         self._cached_gpu_pages += self._block_gpu_pages
-        heapq.heappush(self._lru_heap, (block.last_use, block.block_id))
+        self._lru[block.block_id] = block
 
     def _uncache(self, block: KVBlock) -> None:
         """Count a block leaving the cache (re-acquired or freed)."""
@@ -259,15 +254,14 @@ class SharedBlockStore:
         self._num_cached -= 1
         self._cached_cpu_pages -= self._block_cpu_pages
         self._cached_gpu_pages -= self._block_gpu_pages
+        del self._lru[block.block_id]
 
     def _pop_lru_cached(self) -> KVBlock | None:
-        """The least-recently-used cached block, skipping stale heap entries."""
-        while self._lru_heap:
-            last_use, block_id = heapq.heappop(self._lru_heap)
-            block = self.blocks.get(block_id)
-            if block is not None and block.cached and block.last_use == last_use:
-                return block
-        return None
+        """The least-recently-used cached block (still cached: the caller
+        frees it)."""
+        if not self._lru:
+            return None
+        return next(iter(self._lru.values()))
 
     def allocatable_blocks(self) -> int:
         """Fresh blocks allocatable right now, counting evictable cache.
@@ -302,11 +296,12 @@ class SharedBlockStore:
         if num_blocks <= 0:
             return True
         reserved_cached = 0
-        blocks = self.blocks
-        for block_id in set(reserved_block_ids):
-            block = blocks.get(block_id)
-            if block is not None and block.cached:
-                reserved_cached += 1
+        if reserved_block_ids:
+            blocks = self.blocks
+            for block_id in set(reserved_block_ids):
+                block = blocks.get(block_id)
+                if block is not None and block.cached:
+                    reserved_cached += 1
         ok = True
         if self._block_cpu_pages:
             needed = self._block_cpu_pages * num_blocks
@@ -365,11 +360,17 @@ class SharedBlockStore:
         token short of the full prompt — the match depends on the prompt
         length, not just its hashes.
         """
+        # Block ``i`` is matchable only while ``(i + 1) * block_tokens`` fits
+        # in ``matchable_tokens``: a prefix of the chain, cut once up front.
+        max_blocks = matchable_tokens // self.block_tokens
+        if max_blocks <= 0:
+            return []
+        if len(block_hashes) > max_blocks:
+            block_hashes = block_hashes[:max_blocks]
         matched: list[int] = []
+        hash_index = self._hash_index
         for block_hash in block_hashes:
-            if len(matched) * self.block_tokens + self.block_tokens > matchable_tokens:
-                break
-            block_id = self._hash_index.get(block_hash)
+            block_id = hash_index.get(block_hash)
             if block_id is None:
                 break
             matched.append(block_id)
@@ -395,14 +396,21 @@ class SharedBlockStore:
         acquires without a method call and double dict probe per block.
         """
         blocks = self.blocks
+        lru = self._lru
         clock = self._clock
         for block_id in block_ids:
             block = blocks.get(block_id)
             if block is None:
                 raise MemoryManagerError(f"unknown block {block_id}")
             block.ref_count += 1
-            if block.ref_count == 1:
-                self._uncache(block)
+            if block.cached:
+                # Inlined :meth:`_uncache`: only refcount-zero blocks are
+                # ever cached, so this is the 0 -> 1 transition.
+                block.cached = False
+                self._num_cached -= 1
+                self._cached_cpu_pages -= self._block_cpu_pages
+                self._cached_gpu_pages -= self._block_gpu_pages
+                del lru[block_id]
             clock += 1
             block.last_use = clock
         self._clock = clock
@@ -421,32 +429,40 @@ class SharedBlockStore:
             raise MemoryManagerError(
                 f"block holds at most {self.block_tokens} tokens, got {num_tokens}"
             )
-        self._reclaim_for(self._block_cpu_bytes, self._block_gpu_bytes)
-        block = KVBlock(
-            block_id=self._next_block_id,
-            num_tokens=num_tokens,
-            ref_count=1,
-        )
-        self._next_block_id += 1
-        if self._block_cpu_pages:
-            block.cpu_allocation = self.cpu_pool.take_pages(self._block_cpu_pages)
-        if self._block_gpu_pages:
+        return self._allocate(num_tokens, block_hash)
+
+    def _allocate(self, num_tokens: int, block_hash: int | None) -> KVBlock:
+        """:meth:`allocate_block` without validation (callers guarantee
+        ``0 < num_tokens <= block_tokens``)."""
+        cpu_pages = self._block_cpu_pages
+        gpu_pages = self._block_gpu_pages
+        if cpu_pages > self.cpu_pool.free_pages or (
+            gpu_pages and gpu_pages > self.gpu_pool.free_pages
+        ):
+            self._reclaim_for(self._block_cpu_bytes, self._block_gpu_bytes)
+        block_id = self._next_block_id
+        block = KVBlock(block_id, num_tokens, 1)
+        self._next_block_id = block_id + 1
+        if cpu_pages:
+            block.cpu_pages = self.cpu_pool.take_page_ids(cpu_pages)
+            block.cpu_bytes = self._block_cpu_charge
+        if gpu_pages:
             assert self.gpu_pool is not None  # guaranteed by the constructor
             try:
-                block.gpu_allocation = self.gpu_pool.take_pages(self._block_gpu_pages)
+                block.gpu_pages = self.gpu_pool.take_page_ids(gpu_pages)
             except MemoryManagerError:
                 # Roll the CPU share back: the block never becomes visible,
                 # so nothing else can free those pages.
-                if block.cpu_allocation is not None:
-                    self.cpu_pool.free(block.cpu_allocation)
+                self.cpu_pool.free_page_ids(block.cpu_pages)
                 raise
+            block.gpu_bytes = self._block_gpu_charge
         if block_hash is not None and block_hash not in self._hash_index:
             block.block_hash = block_hash
-            self._hash_index[block_hash] = block.block_id
+            self._hash_index[block_hash] = block_id
             self.version += 1
-        self.blocks[block.block_id] = block
-        self._total_cpu_pages += self._block_cpu_pages
-        self._total_gpu_pages += self._block_gpu_pages
+        self.blocks[block_id] = block
+        self._total_cpu_pages += cpu_pages
+        self._total_gpu_pages += gpu_pages
         self._clock += 1
         block.last_use = self._clock
         return block
@@ -461,50 +477,14 @@ class SharedBlockStore:
 
         Observably identical to calling :meth:`allocate_block` once per
         ``(size, hash)`` pair — same eviction points, ids, index/clock
-        transitions — without the per-block method and validation
-        overhead (registration is the allocation hot path: one run per
-        admitted request).  Each committed block id is appended to
-        ``out_block_ids`` immediately, so a mid-run pool failure leaves
-        the committed prefix visible for the caller to release.  Callers
-        guarantee every size lies in ``(0, block_tokens]``.
+        transitions — without the per-block validation.  Each committed
+        block id is appended to ``out_block_ids`` immediately, so a mid-run
+        pool failure leaves the committed prefix visible for the caller to
+        release.  Callers guarantee every size lies in
+        ``(0, block_tokens]``.
         """
-        blocks = self.blocks
-        hash_index = self._hash_index
-        cpu_pool = self.cpu_pool
-        gpu_pool = self.gpu_pool
-        cpu_pages = self._block_cpu_pages
-        gpu_pages = self._block_gpu_pages
         for num_tokens, block_hash in zip(sizes, hashes):
-            if cpu_pages > cpu_pool.free_pages or (
-                gpu_pages and gpu_pages > gpu_pool.free_pages
-            ):
-                self._reclaim_for(self._block_cpu_bytes, self._block_gpu_bytes)
-            block = KVBlock(
-                block_id=self._next_block_id,
-                num_tokens=num_tokens,
-                ref_count=1,
-            )
-            self._next_block_id += 1
-            if cpu_pages:
-                block.cpu_allocation = cpu_pool.take_pages(cpu_pages)
-            if gpu_pages:
-                assert gpu_pool is not None  # guaranteed by the constructor
-                try:
-                    block.gpu_allocation = gpu_pool.take_pages(gpu_pages)
-                except MemoryManagerError:
-                    if block.cpu_allocation is not None:
-                        cpu_pool.free(block.cpu_allocation)
-                    raise
-            if block_hash is not None and block_hash not in hash_index:
-                block.block_hash = block_hash
-                hash_index[block_hash] = block.block_id
-                self.version += 1
-            blocks[block.block_id] = block
-            self._total_cpu_pages += cpu_pages
-            self._total_gpu_pages += gpu_pages
-            self._clock += 1
-            block.last_use = self._clock
-            out_block_ids.append(block.block_id)
+            out_block_ids.append(self._allocate(num_tokens, block_hash).block_id)
 
     def register_chain(
         self,
@@ -535,15 +515,11 @@ class SharedBlockStore:
             cached_tokens = len(matched_ids) * self.block_tokens
             remaining = num_tokens - cached_tokens
             if remaining > 0:
-                blocks = self.blocks
-                hash_index = self._hash_index
-                cpu_pool = self.cpu_pool
-                gpu_pool = self.gpu_pool
-                cpu_pages = self._block_cpu_pages
-                gpu_pages = self._block_gpu_pages
                 block_tokens = self.block_tokens
                 block_index = len(matched_ids)
                 num_hashes = len(block_hashes)
+                allocate = self._allocate
+                append = out_block_ids.append
                 while remaining > 0:
                     take = (
                         block_tokens if remaining >= block_tokens else remaining
@@ -555,40 +531,7 @@ class SharedBlockStore:
                         if take == block_tokens and block_index < num_hashes
                         else None
                     )
-                    if cpu_pages > cpu_pool.free_pages or (
-                        gpu_pages and gpu_pages > gpu_pool.free_pages
-                    ):
-                        self._reclaim_for(
-                            self._block_cpu_bytes, self._block_gpu_bytes
-                        )
-                    block = KVBlock(
-                        block_id=self._next_block_id,
-                        num_tokens=take,
-                        ref_count=1,
-                    )
-                    self._next_block_id += 1
-                    if cpu_pages:
-                        block.cpu_allocation = cpu_pool.take_pages(cpu_pages)
-                    if gpu_pages:
-                        assert gpu_pool is not None  # constructor guarantee
-                        try:
-                            block.gpu_allocation = gpu_pool.take_pages(
-                                gpu_pages
-                            )
-                        except MemoryManagerError:
-                            if block.cpu_allocation is not None:
-                                cpu_pool.free(block.cpu_allocation)
-                            raise
-                    if block_hash is not None and block_hash not in hash_index:
-                        block.block_hash = block_hash
-                        hash_index[block_hash] = block.block_id
-                        self.version += 1
-                    blocks[block.block_id] = block
-                    self._total_cpu_pages += cpu_pages
-                    self._total_gpu_pages += gpu_pages
-                    self._clock += 1
-                    block.last_use = self._clock
-                    out_block_ids.append(block.block_id)
+                    append(allocate(take, block_hash).block_id)
                     remaining -= take
                     block_index += 1
         except MemoryManagerError:
@@ -658,22 +601,35 @@ class SharedBlockStore:
                 self._free(block)
 
     def release_many(self, block_ids: Iterable[int]) -> None:
-        """Release a sequence's whole block table (same order, one loop)."""
+        """Release a sequence's whole block table (same order, one loop).
+
+        Observably identical to :meth:`release` per block; the touch and
+        cache transitions of hashed blocks are inlined (this runs once per
+        finished request).
+        """
         blocks = self.blocks
+        lru = self._lru
         for block_id in block_ids:
             block = blocks.get(block_id)
             if block is None:
                 raise MemoryManagerError(f"unknown block {block_id}")
-            if block.ref_count <= 0:
+            ref_count = block.ref_count
+            if ref_count <= 0:
                 raise MemoryManagerError(
                     f"refcount underflow: block {block_id} released at "
-                    f"refcount {block.ref_count}"
+                    f"refcount {ref_count}"
                 )
-            block.ref_count -= 1
-            if block.ref_count == 0:
-                if block.is_shareable:
-                    self._touch(block)
-                    self._cache(block)
+            block.ref_count = ref_count = ref_count - 1
+            if ref_count == 0:
+                if block.block_hash is not None:
+                    self._clock += 1
+                    block.last_use = self._clock
+                    block.cached = True
+                    block.last_touch_time = self.clock_time
+                    self._num_cached += 1
+                    self._cached_cpu_pages += self._block_cpu_pages
+                    self._cached_gpu_pages += self._block_gpu_pages
+                    lru[block_id] = block
                 else:
                     self._free(block)
 
@@ -696,25 +652,19 @@ class SharedBlockStore:
 
         A chat session that went quiet leaves its whole prefix chain parked
         in the cache; TTL eviction reclaims those pages ahead of allocation
-        pressure.  Blocks are freed in LRU order off the existing lazy
-        heap: the integer use clock is monotone in simulated time, so the
-        heap head is also the oldest block by ``last_touch_time`` and the
-        scan stops at the first survivor — O(evicted), not O(cached).
+        pressure.  Blocks are freed in LRU order: the integer use clock is
+        monotone in simulated time, so the LRU head is also the oldest
+        block by ``last_touch_time`` and the scan stops at the first
+        survivor — O(evicted), not O(cached).
         Returns the number of blocks expired (also accumulated on
         ``ttl_evictions``).
         """
         expired = 0
-        heap = self._lru_heap
-        blocks = self.blocks
-        while heap:
-            last_use, block_id = heap[0]
-            block = blocks.get(block_id)
-            if block is None or not block.cached or block.last_use != last_use:
-                heapq.heappop(heap)  # stale entry (re-acquired or freed)
-                continue
+        lru = self._lru
+        while lru:
+            block = next(iter(lru.values()))
             if block.last_touch_time > cutoff:
                 break
-            heapq.heappop(heap)
             self._free(block)
             expired += 1
         self.ttl_evictions += expired
@@ -758,13 +708,13 @@ class SharedBlockStore:
                 f"refcount {block.ref_count}"
             )
         self._uncache(block)
-        if block.cpu_allocation is not None:
-            self.cpu_pool.free(block.cpu_allocation)
-            self._total_cpu_pages -= block.cpu_allocation.num_pages
-        if block.gpu_allocation is not None:
-            assert self.gpu_pool is not None  # allocation implies the pool
-            self.gpu_pool.free(block.gpu_allocation)
-            self._total_gpu_pages -= block.gpu_allocation.num_pages
+        if block.cpu_pages:
+            self.cpu_pool.free_page_ids(block.cpu_pages)
+            self._total_cpu_pages -= len(block.cpu_pages)
+        if block.gpu_pages:
+            assert self.gpu_pool is not None  # pages imply the pool
+            self.gpu_pool.free_page_ids(block.gpu_pages)
+            self._total_gpu_pages -= len(block.gpu_pages)
         if block.block_hash is not None:
             self._hash_index.pop(block.block_hash, None)
             self.version += 1

@@ -111,28 +111,25 @@ class MemoryPool:
                 f"pool {self.name!r}: requested {needed} pages "
                 f"({num_bytes / 1e6:.1f} MB) but only {self.free_pages} free"
             )
-        # One slice instead of ``needed`` pops — same pages in the same
-        # (reverse-of-free-list) order, without the per-page call overhead.
-        free = self._free
-        start = len(free) - needed
-        pages = tuple(reversed(free[start:]))
-        del free[start:]
-        self._allocated.update(pages)
-        return PagedAllocation(pool_name=self.name, pages=pages, page_bytes=self.page_bytes)
+        return PagedAllocation(
+            pool_name=self.name,
+            pages=self.take_page_ids(needed),
+            page_bytes=self.page_bytes,
+        )
 
     def allocate_pages(self, num_pages: int) -> PagedAllocation:
         """Allocate an exact number of pages."""
         require_positive_int("num_pages", num_pages)
         return self.allocate(num_pages * self.page_bytes)
 
-    def take_pages(self, needed: int) -> PagedAllocation:
-        """Allocate exactly ``needed`` already-rounded pages.
+    def take_page_ids(self, needed: int) -> tuple[int, ...]:
+        """Take exactly ``needed`` already-rounded pages as bare page ids.
 
-        Hot-path variant of :meth:`allocate` for callers that charge the
-        same page count on every call (the shared block store): the ceil
-        division and byte bookkeeping happen once at caller setup instead
-        of per allocation.  Pages come out in the same order
-        :meth:`allocate` would hand them out.
+        The core of :meth:`allocate`, called directly on the hot path by
+        callers that charge the same page count on every call and keep
+        the ids themselves (the shared block store): no ceil division,
+        byte bookkeeping or :class:`PagedAllocation` record per call.
+        Return the ids with :meth:`free_page_ids`.
         """
         free = self._free
         if needed > len(free):
@@ -140,11 +137,18 @@ class MemoryPool:
                 f"pool {self.name!r}: requested {needed} pages "
                 f"but only {len(free)} free"
             )
+        if needed == 1:
+            # The common block size: one page, no slicing or set merge.
+            page = free.pop()
+            self._allocated.add(page)
+            return (page,)
+        # One slice instead of ``needed`` pops — same pages in the same
+        # (reverse-of-free-list) order, without the per-page call overhead.
         start = len(free) - needed
         pages = tuple(reversed(free[start:]))
         del free[start:]
         self._allocated.update(pages)
-        return PagedAllocation(pool_name=self.name, pages=pages, page_bytes=self.page_bytes)
+        return pages
 
     def free(self, allocation: PagedAllocation) -> None:
         """Return an allocation's pages to the pool."""
@@ -153,12 +157,17 @@ class MemoryPool:
                 f"allocation belongs to pool {allocation.pool_name!r}, "
                 f"not {self.name!r}"
             )
-        for page in allocation.pages:
-            if page not in self._allocated:
+        self.free_page_ids(allocation.pages)
+
+    def free_page_ids(self, pages: tuple[int, ...]) -> None:
+        """Return page ids to the pool (the core of :meth:`free`)."""
+        allocated = self._allocated
+        for page in pages:
+            if page not in allocated:
                 raise MemoryManagerError(
                     f"pool {self.name!r}: double free of page {page}"
                 )
-            self._allocated.remove(page)
+            allocated.remove(page)
             self._free.append(page)
 
     def reset(self) -> None:

@@ -21,19 +21,20 @@ metrics, so MoE-Lightning and the baselines become comparable under load.
   prefill-prioritising and decode-prioritising policies.
 * :mod:`repro.serving.metrics` — TTFT / TPOT / E2E percentiles and
   SLO-goodput.
-* :mod:`repro.serving.server` — the per-shard :class:`EngineCore` state
-  machine (event-granular ``begin_step``/``complete_step``, optionally
-  with overlapped prefill/decode streams) and the :class:`ServingSystem`
-  facade driving any offloading backend through a simulated wall clock.
+* :mod:`repro.serving.server` — the per-step :class:`EngineStepModel`
+  pricing any offloading backend and the per-shard :class:`EngineCore`
+  state machine (event-granular ``begin_step``/``complete_step``,
+  optionally with overlapped prefill/decode streams).
 * :mod:`repro.serving.router` — the :class:`ShardRouter`
   (round-robin / least-loaded / session-affinity / cache-aware) in front
   of per-shard queues.
-* :mod:`repro.serving.event_loop` — the central timestamp-ordered event
-  queue interleaving arrivals and per-shard step completions in true
-  global time order.
+* :mod:`repro.serving.event_loop` — the one serving loop: a central
+  timestamp-ordered event queue interleaving arrivals and per-shard step
+  completions in true global time order.
 * :mod:`repro.serving.sharded` — :class:`ShardedServingSystem`, N
   data-parallel engines on a :class:`~repro.cluster.spec.ClusterSpec`
-  with per-shard utilization and stream-occupancy reporting.
+  with per-shard utilization and stream-occupancy reporting, and
+  :class:`ServingSystem`, the same system with one engine.
 """
 
 from repro.serving.admission import AdmissionController, AdmissionDecision
@@ -76,10 +77,10 @@ from repro.serving.server import (
     EngineStep,
     EngineStepModel,
     ServingResult,
-    ServingSystem,
     default_slo,
 )
 from repro.serving.sharded import (
+    ServingSystem,
     ShardStats,
     ShardedServingResult,
     ShardedServingSystem,

@@ -1,18 +1,16 @@
-"""Timestamp-ordered event loop driving N engine cores in global time order.
+"""The serving loop: one timestamp-ordered event queue driving N engine cores.
 
-The first sharded serving loop was *time-sliced*: before routing each
-arrival it ran every shard forward to the arrival instant
-(O(arrivals x shards) calls), and because an engine step runs to
-completion once started, a shard's clock could overshoot the arrival
-mid-step — the router then observed state (retirements, queue drains)
-from *after* the instant it was deciding at.
-
-This module replaces that with a discrete-event simulation over one
-central event queue.  Two event kinds exist:
+Every serving run goes through :class:`ServingEventLoop` — the
+single-engine :class:`~repro.serving.sharded.ServingSystem` is one core
+behind it, :class:`~repro.serving.sharded.ShardedServingSystem` is N.  It
+is a discrete-event simulation over one central event queue.  Three event
+kinds exist:
 
 * **step-complete** — a shard's in-flight engine step finishes; its
   effects (clock advance, first tokens, decode tokens, retirements) are
   applied via :meth:`~repro.serving.server.EngineCore.complete_step`;
+* **callback** — a scheduled delivery such as a KV-transfer landing or a
+  fault event;
 * **arrival** — a request reaches the router, which observes every
   shard's true outstanding load *at that instant* and offers the request
   to the chosen shard's queue.
@@ -25,11 +23,16 @@ new step, so simultaneous arrivals all enter the same scheduling
 decision.  Drained shards simply stop producing events; the loop ends
 when the queue empties, which doubles as the drain phase.
 
-With ``overlap=False`` engines this reproduces the time-sliced loop's
-per-request timeline bit-for-bit whenever routing is load-independent
-(round-robin, session-affinity) — and fixes the load signal where it is
-not.  A single core behind the loop reproduces
-:class:`~repro.serving.server.ServingSystem`'s timeline exactly.
+The loop it replaced was *time-sliced*: before routing each arrival it ran
+every shard forward to the arrival instant (O(arrivals x shards) calls),
+and because an engine step runs to completion once started, a shard's
+clock could overshoot the arrival mid-step — the router then observed
+state from *after* the instant it was deciding at.  With ``overlap=False``
+engines this loop reproduces that one's per-request timeline bit-for-bit
+whenever routing is load-independent (round-robin, session-affinity) —
+and fixes the load signal where it is not.  The time-sliced loop survives
+as :meth:`~repro.serving.sharded.ShardedServingSystem.run_time_sliced`, a
+reference for equivalence tests.
 """
 
 from __future__ import annotations

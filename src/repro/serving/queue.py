@@ -106,14 +106,14 @@ class ServingRequest:
 
     def attach_decode_epoch(self, box: list[int]) -> None:
         """Back ``tokens_decoded`` by a shared decode-epoch counter."""
-        self._epoch_offset = self.__dict__["tokens_decoded"] - box[0]
+        self._epoch_offset = self._tokens_decoded - box[0]
         self._epoch_box = box
 
     def detach_decode_epoch(self) -> None:
         """Materialise the epoch-backed count back into plain storage."""
         box = self._epoch_box
         if box is not None:
-            self.__dict__["tokens_decoded"] = box[0] + self._epoch_offset
+            self._tokens_decoded = box[0] + self._epoch_offset
             self._epoch_box = None
 
     @property
@@ -216,7 +216,7 @@ def _tokens_decoded_get(self: ServingRequest) -> int:
     box = self._epoch_box
     if box is not None:
         return box[0] + self._epoch_offset
-    return self.__dict__["tokens_decoded"]
+    return self._tokens_decoded
 
 
 def _tokens_decoded_set(self: ServingRequest, value: int) -> None:
@@ -224,11 +224,14 @@ def _tokens_decoded_set(self: ServingRequest, value: int) -> None:
     if box is not None:
         self._epoch_offset = value - box[0]
     else:
-        self.__dict__["tokens_decoded"] = value
+        self._tokens_decoded = value
 
 
 # Installed post-class so the dataclass machinery still treats
-# ``tokens_decoded`` as an ordinary default-0 field.
+# ``tokens_decoded`` as an ordinary default-0 field.  The plain count lives
+# in ``_tokens_decoded``, never in ``__dict__`` directly: CPython then never
+# materialises the instance dict, one garbage-collected object less per
+# request.
 ServingRequest.tokens_decoded = property(  # type: ignore[assignment]
     _tokens_decoded_get, _tokens_decoded_set
 )

@@ -88,8 +88,8 @@ class ShardRouter:
                     f"expected {self.num_shards} prefix lengths, "
                     f"got {len(prefix_lens)}"
                 )
-            if prefix_lens is not None and max(prefix_lens) > 0:
-                best = max(prefix_lens)
+            best = max(prefix_lens) if prefix_lens is not None else 0
+            if best > 0:
                 # Ties between equally warm shards break by load, then id.
                 shard = min(
                     (s for s in range(self.num_shards) if prefix_lens[s] == best),

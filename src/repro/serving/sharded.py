@@ -1,12 +1,14 @@
-"""Sharded online serving: N data-parallel engines behind a router.
+"""Routed online serving: one event loop over N engines behind a router.
 
-:class:`ShardedServingSystem` is the scale-out counterpart of
-:class:`~repro.serving.server.ServingSystem`: ``num_shards`` replicas of one
-offloading backend — each an independent :class:`~repro.serving.server.EngineCore`
-with its own queue, admission controller and KV cache — serve a single
-arrival stream split by a :class:`~repro.serving.router.ShardRouter`.
+:class:`ShardedServingSystem` serves one arrival stream with ``num_shards``
+replicas of an offloading backend — each an independent
+:class:`~repro.serving.server.EngineCore` with its own queue, admission
+controller and KV cache — split by a :class:`~repro.serving.router.ShardRouter`
+(or, disaggregated, by a :class:`~repro.serving.router.PhaseRouter` over a
+prefill pool and a decode pool).  :class:`ServingSystem` is the same system
+with one shard: its result carries that engine's step timeline.
 
-The run loop is the timestamp-ordered event queue of
+Every run goes through the timestamp-ordered event queue of
 :mod:`repro.serving.event_loop`: arrivals and per-shard step completions
 interleave in true global time order, so routing decisions, admissions and
 retirements happen exactly when they would on a live cluster — the router
@@ -20,8 +22,8 @@ owns its node), and the result reports per-shard utilization and
 prefill/decode stream occupancy alongside the aggregate latency/goodput
 metrics, so imbalance — the router's failure mode — is directly visible.
 
-Determinism matches the single-engine system: same backend, arrival
-process, router policy and seed give identical per-request timestamps.
+Determinism: same backend, arrival process, router policy and seed give
+identical per-request timestamps.
 """
 
 from __future__ import annotations
@@ -37,10 +39,16 @@ from repro.serving.faults import FaultInjector, FaultSchedule, ResiliencePolicy
 from repro.serving.metrics import SLO, ReportBuilder, ServingReport, summarize
 from repro.serving.queue import ServingRequest
 from repro.serving.router import PhaseRouter, ShardRouter
-from repro.serving.server import EngineCore, EngineStepModel, default_slo
+from repro.serving.server import (
+    EngineCore,
+    EngineStepModel,
+    ServingResult,
+    default_slo,
+)
 from repro.systems.base import OffloadingSystem
 from repro.utils.errors import ConfigurationError
 from repro.utils.validation import require_positive_int
+from repro.workloads.spec import WorkloadSpec
 
 
 @dataclass(frozen=True)
@@ -494,20 +502,25 @@ class ShardedServingSystem:
         def route(serving_request: ServingRequest, cores) -> int:
             request = serving_request.request
             hashes = request.block_hash_chain(block_tokens)
-            if not hashes:
+            # The match is capped one token short of the full prompt
+            # (prefill must compute at least one token), so only the
+            # first ``(input_len - 1) // block_tokens`` blocks can ever
+            # match regardless of the chain's length.
+            max_blocks = (request.input_len - 1) // block_tokens
+            if not hashes or max_blocks <= 0:
                 prefix_lens = [0] * len(board)
             else:
-                # The match is capped one token short of the full prompt
-                # (prefill must compute at least one token), so only the
-                # first ``(input_len - 1) // block_tokens`` blocks can
-                # ever match regardless of the chain's length.
-                max_blocks = (request.input_len - 1) // block_tokens
-                probe = hashes[:max_blocks] if len(hashes) > max_blocks else hashes
+                first = hashes[0]
+                rest = hashes[1:max_blocks]
                 prefix_lens = []
                 append = prefix_lens.append
                 for index in indexes:
-                    depth = 0
-                    for block_hash in probe:
+                    # Cold shards miss on the first block: one probe each.
+                    if first not in index:
+                        append(0)
+                        continue
+                    depth = 1
+                    for block_hash in rest:
                         if block_hash in index:
                             depth += 1
                         else:
@@ -533,9 +546,33 @@ class ShardedServingSystem:
         optionally attaches a fresh :class:`repro.obs.Telemetry` for this
         run; disabled, the run is bit-for-bit the historical timeline.
         """
-        if self.disaggregated:
-            return self._run_disagg(arrivals, count, seed, telemetry)
-        router = ShardRouter(self.num_shards, self.router_policy)
+        return self._finalize(*self._serve(arrivals, count, seed, telemetry))
+
+    def _serve(
+        self,
+        arrivals: ArrivalProcess | list[TimedRequest],
+        count: int | None,
+        seed: int,
+        telemetry=None,
+    ) -> tuple[
+        list[ServingRequest],
+        list[EngineCore],
+        float,
+        ServingReport,
+        FaultInjector | None,
+    ]:
+        """Serve one stream on fresh cores through the event loop.
+
+        Returns ``(records, cores, makespan, report, injector)``: what
+        :meth:`_finalize` summarises, and the core :class:`ServingSystem`
+        reports on.  Unified runs route each arrival through the :class:`ShardRouter`.
+        Disaggregated runs route arrivals to the prefill shard that will
+        start them soonest (outstanding prompt tokens over measured prefill
+        speed); a completed prompt's KV migrates to the decode shard with
+        the most headroom as a scheduled transfer event priced on the
+        cluster link, with blocks the target already caches deduplicated
+        out of the transfer.
+        """
         builder: ReportBuilder | None = None
         if self.store_samples:
             records = self._materialize(arrivals, count, seed)
@@ -553,20 +590,39 @@ class ShardedServingSystem:
                 on_reject=builder.observe,
                 on_finish_batch=builder.observe_many,
             )
-        if self.incremental_routing:
-            route = self._incremental_route_fn(router, cores)
+        controller: _DisaggController | None = None
+        if self.disaggregated:
+            controller = _DisaggController(self, cores)
+            route = controller.route
         else:
-            route = self._route_fn(router)
+            router = ShardRouter(self.num_shards, self.router_policy)
+            if self.incremental_routing:
+                route = self._incremental_route_fn(router, cores)
+            else:
+                route = self._route_fn(router)
         injector = self._make_injector(cores, telemetry)
         if injector is not None:
-            # Dead/loading shards leave the routable set; drops flow into
-            # the retry machinery; retries re-route through the same
-            # (avoidance-wrapped) policy.
-            route = injector.wrap_route(route)
+            if controller is not None:
+                # The phase router's own readiness filter does the
+                # avoidance: the injector flips ``ready_at[shard]`` to +inf
+                # on crash and to the reload-complete instant on recovery,
+                # and both route_prefill and route_decode already skip
+                # not-yet-ready shards.  No wrapper needed — a wrapper's
+                # least-loaded fallback could cross the phase boundary.
+                injector.add_ready_view(controller.router.ready_at)
+                injector.on_crash_drops.append(controller.on_crash_drops)
+                controller.injector = injector
+            else:
+                # Dead/loading shards leave the routable set.
+                route = injector.wrap_route(route)
+            # Drops flow into the retry machinery; retries re-route through
+            # the same policy.
             injector.set_route(route)
             for core in cores:
                 core.on_fail = injector.handle_failure
         loop = ServingEventLoop(cores, route, telemetry=telemetry)
+        if controller is not None:
+            controller.attach(loop)
         if injector is not None:
             injector.attach(
                 loop,
@@ -578,73 +634,22 @@ class ShardedServingSystem:
         else:
             makespan = loop.run_stream(self._stream_records(arrivals, count, seed))
             report = builder.build(makespan)
-        return self._finalize(records, cores, makespan, report, injector=injector)
-
-    def _run_disagg(
-        self,
-        arrivals: ArrivalProcess | list[TimedRequest],
-        count: int | None,
-        seed: int,
-        telemetry=None,
-    ) -> ShardedServingResult:
-        """Disaggregated run: prefill pool -> priced KV transfer -> decode pool.
-
-        Arrivals route to the prefill shard that will start them soonest
-        (outstanding prompt tokens over measured prefill speed); a completed
-        prompt's KV migrates to the decode shard with the most headroom as a
-        scheduled transfer event priced on the cluster link, with blocks the
-        target already caches deduplicated out of the transfer.
-        """
-        builder: ReportBuilder | None = None
-        if self.store_samples:
-            records = self._materialize(arrivals, count, seed)
-            cores = self._make_cores(telemetry=telemetry)
-        else:
-            records = []
-            builder = ReportBuilder(self.slo, store_samples=False)
-            cores = self._make_cores(
-                telemetry=telemetry,
-                record_steps=False,
-                on_reject=builder.observe,
-                on_finish_batch=builder.observe_many,
-            )
-        controller = _DisaggController(self, cores)
-        injector = self._make_injector(cores, telemetry)
-        route = controller.route
-        if injector is not None:
-            # The phase router's own readiness filter does the avoidance:
-            # the injector flips ``ready_at[shard]`` to +inf on crash and
-            # to the reload-complete instant on recovery, and both
-            # route_prefill and route_decode already skip not-yet-ready
-            # shards.  No wrapper needed — a wrapper's least-loaded
-            # fallback could cross the phase boundary.
-            injector.add_ready_view(controller.router.ready_at)
-            injector.on_crash_drops.append(controller.on_crash_drops)
-            injector.set_route(route)
-            controller.injector = injector
+        if controller is not None or injector is not None:
+            # Cores, loop, controller and injector call one another through
+            # stored callbacks, which ties the run into reference cycles.
+            # Cut them now the run is over, so its pools and blocks free by
+            # reference counting as soon as the caller drops them rather
+            # than whenever the cyclic collector next runs.
+            loop.route = None
             for core in cores:
-                core.on_fail = injector.handle_failure
-        loop = ServingEventLoop(cores, route, telemetry=telemetry)
-        controller.attach(loop)
-        if injector is not None:
-            injector.attach(
-                loop,
-                record_sink=records.append if builder is None else None,
-            )
-        if builder is None:
-            makespan = loop.run(records)
-            report = summarize(records, makespan=makespan, slo=self.slo)
-        else:
-            makespan = loop.run_stream(self._stream_records(arrivals, count, seed))
-            report = builder.build(makespan)
-        return self._finalize(
-            records,
-            cores,
-            makespan,
-            report,
-            router_name="phase-aware",
-            injector=injector,
-        )
+                core.on_handoff = None
+                core.on_fail = None
+            if controller is not None:
+                controller.loop = None
+                controller.injector = None
+            if injector is not None:
+                injector.loop = None
+        return records, cores, makespan, report, injector
 
     def _stream_records(
         self,
@@ -724,7 +729,6 @@ class ShardedServingSystem:
         cores: list[EngineCore],
         makespan: float,
         report: ServingReport,
-        router_name: str | None = None,
         injector: FaultInjector | None = None,
     ) -> ShardedServingResult:
         # Per-shard stats come from the cores' O(1) counters rather than a
@@ -762,7 +766,7 @@ class ShardedServingSystem:
             system=self.backend.name,
             workload=self.workload.name,
             scheduling=self.scheduling,
-            router=router_name or self.router_policy,
+            router="phase-aware" if self.disaggregated else self.router_policy,
             num_shards=self.num_shards,
             policy=self.policy,
             slo=self.slo,
@@ -772,6 +776,90 @@ class ShardedServingSystem:
             shard_stats=shard_stats,
             admission_stats=totals,
             fault_stats=injector.stats() if injector is not None else {},
+        )
+
+
+class ServingSystem(ShardedServingSystem):
+    """Continuous-batching serving on one engine over an offloading backend.
+
+    A one-shard :class:`ShardedServingSystem`: the same event loop serves
+    the stream, and :meth:`run` reports the engine's step timeline, busy
+    totals and admission counters as a :class:`ServingResult`.  One
+    instance may serve many runs; its step-price memo stays warm across
+    them.
+    """
+
+    def __init__(
+        self,
+        backend: OffloadingSystem,
+        workload: WorkloadSpec,
+        policy: Policy | None = None,
+        scheduling: str = "fcfs",
+        queue_ordering: str = "fcfs",
+        max_queue_depth: int | None = None,
+        slo: SLO | None = None,
+        use_simulator: bool = False,
+        ctx_bucket: int = 32,
+        block_tokens: int = 16,
+        chunk_prefill_tokens: int | None = None,
+        prefix_cache: bool = False,
+        overlap: bool = False,
+        session_ttl: float | None = None,
+        store_samples: bool = True,
+    ) -> None:
+        super().__init__(
+            backend,
+            workload,
+            num_shards=1,
+            policy=policy,
+            scheduling=scheduling,
+            queue_ordering=queue_ordering,
+            max_queue_depth=max_queue_depth,
+            slo=slo,
+            use_simulator=use_simulator,
+            ctx_bucket=ctx_bucket,
+            block_tokens=block_tokens,
+            chunk_prefill_tokens=chunk_prefill_tokens,
+            prefix_cache=prefix_cache,
+            overlap=overlap,
+            session_ttl=session_ttl,
+            store_samples=store_samples,
+        )
+
+    def run(
+        self,
+        arrivals: ArrivalProcess | list[TimedRequest],
+        count: int | None = None,
+        seed: int = 0,
+        telemetry=None,
+    ) -> ServingResult:
+        """Serve a request stream to completion and return the result.
+
+        ``arrivals`` is either an :class:`ArrivalProcess` (generated with
+        ``count`` and ``seed``) or an explicit pre-built stream.
+        ``telemetry`` optionally attaches a fresh :class:`repro.obs.Telemetry`
+        for this run (recorders accumulate, so pass one per run).  With
+        ``store_samples=False`` the run streams: ``requests`` and ``steps``
+        come back empty and the report is sketch-backed.
+        """
+        records, (core,), makespan, report, _ = self._serve(
+            arrivals, count, seed, telemetry
+        )
+        return ServingResult(
+            system=self.backend.name,
+            workload=self.workload.name,
+            scheduling=self.scheduling,
+            policy=self.policy,
+            slo=self.slo,
+            requests=records,
+            steps=core.steps,
+            makespan=makespan,
+            report=report,
+            busy_s=core.busy_time,
+            decode_busy_total=core.decode_stream_busy,
+            prefill_busy_total=core.prefill_stream_busy,
+            overlapped_total=core.overlapped_time,
+            admission_stats=core.admission_stats(),
         )
 
 

@@ -264,7 +264,7 @@ def _chat_system_tokens(spec: ChatWorkloadSpec, seed: int) -> tuple[int, ...]:
 
 
 def _resolve_chat_tokens(
-    system_tokens: tuple[int, ...], seed: int, session: int, draw_count: int
+    system_tokens: tuple[int, ...], seed: int, request: Request
 ) -> tuple[int, ...]:
     """Regenerate one chat prompt's token tuple on demand.
 
@@ -272,8 +272,11 @@ def _resolve_chat_tokens(
     ``t * (user + generation) + user`` values of the session RNG stream —
     drawing them in one batched call yields the same values as the object
     path's per-turn draws (numpy PCG64 output is call-shape independent).
+    The session and draw count come from ``request`` itself, so one bound
+    source serves a whole stream.
     """
-    rng = np.random.default_rng([seed, 0x5E55, session])
+    rng = np.random.default_rng([seed, 0x5E55, request.session_id])
+    draw_count = request.input_len - len(system_tokens)
     return system_tokens + tuple(
         rng.integers(0, _VOCAB_SIZE, draw_count).tolist()
     )
@@ -402,8 +405,11 @@ class RequestColumns:
         else:
             block_tokens = self.prefix_block_tokens
             hash_rows = self.prefix_hash_rows
-            system_tokens = self.system_tokens
-            system_len = len(system_tokens)
+            # One token source serves the whole stream: it regenerates a
+            # request's prompt from the request's own session and length.
+            token_source = partial(
+                _resolve_chat_tokens, self.system_tokens, self.seed
+            )
             for input_len, generation_len, session in zip(
                 input_lens, generation_lens, self.session_ids.tolist()
             ):
@@ -416,13 +422,7 @@ class RequestColumns:
                     session_id=session,
                     prefix_hashes=chain,
                     prefix_block_tokens=block_tokens,
-                    token_source=partial(
-                        _resolve_chat_tokens,
-                        system_tokens,
-                        self.seed,
-                        session,
-                        input_len - system_len,
-                    ),
+                    token_source=token_source,
                 )
 
     def materialize(self) -> list[Request]:

@@ -35,9 +35,10 @@ class Request:
       content identity the serving hot path (admission, prefix matching,
       cache-aware routing) needs, and for chat workloads it is a slice of
       a per-session hash row shared across turns.
-    * ``token_source`` — a zero-argument callable that regenerates the
-      full token tuple on demand.  ``token_ids`` then materialises lazily
-      on first read and is cached; nothing is paid if nobody reads it.
+    * ``token_source`` — a callable that regenerates the full token tuple
+      from the request on demand (``token_source(request)``), so one source
+      can serve a whole stream.  ``token_ids`` then materialises lazily on
+      first read and is cached; nothing is paid if nobody reads it.
     * ``token_ids`` — the eager token tuple, as before.
     """
 
@@ -53,7 +54,7 @@ class Request:
     prefix_block_tokens: int | None = field(
         default=None, repr=False, compare=False
     )
-    token_source: Callable[[], Sequence[int]] | None = field(
+    token_source: Callable[["Request"], Sequence[int]] | None = field(
         default=None, repr=False, compare=False
     )
 
@@ -67,7 +68,7 @@ class Request:
             )
         # Read the raw slot, not the property: validation must not trigger
         # lazy materialisation.
-        token_ids = self.__dict__.get("token_ids")
+        token_ids = self._token_ids
         if token_ids is not None and len(token_ids) != self.input_len:
             raise ConfigurationError(
                 f"token_ids holds {len(token_ids)} tokens but input_len "
@@ -133,7 +134,7 @@ class Request:
             request_id=self.request_id,
             padded_len=length,
             session_id=self.session_id,
-            token_ids=self.__dict__.get("token_ids"),
+            token_ids=self._token_ids,
             prefix_hashes=self.prefix_hashes,
             prefix_block_tokens=self.prefix_block_tokens,
             token_source=self.token_source,
@@ -141,28 +142,30 @@ class Request:
 
 
 def _request_token_ids_get(self: Request) -> tuple[int, ...] | None:
-    tokens = self.__dict__.get("token_ids")
+    tokens = self._token_ids
     if tokens is None:
-        source = self.__dict__.get("token_source")
+        source = self.token_source
         if source is not None:
-            tokens = tuple(source())
+            tokens = tuple(source(self))
             if len(tokens) != self.input_len:
                 raise ConfigurationError(
                     f"token_source produced {len(tokens)} tokens but "
                     f"input_len is {self.input_len}"
                 )
-            self.__dict__["token_ids"] = tokens
+            object.__setattr__(self, "_token_ids", tokens)
     return tokens
 
 
 def _request_token_ids_set(self: Request, value: tuple[int, ...] | None) -> None:
-    self.__dict__["token_ids"] = value
+    object.__setattr__(self, "_token_ids", value)
 
 
 # ``token_ids`` is a data descriptor so lazy requests materialise on first
 # read.  The frozen dataclass ``__init__`` assigns via ``object.__setattr__``,
-# which routes through the property setter into the instance dict; direct
-# attribute assignment still raises FrozenInstanceError as before.
+# which routes through the property setter into the raw ``_token_ids``
+# attribute; direct attribute assignment still raises FrozenInstanceError as
+# before.  Nothing reads the instance ``__dict__``: CPython then never
+# materialises it, which spares one garbage-collected object per request.
 Request.token_ids = property(  # type: ignore[assignment]
     _request_token_ids_get, _request_token_ids_set
 )

@@ -85,3 +85,19 @@ def test_page_table_map_lookup_unmap():
     assert ("expert", 3) not in table
     with pytest.raises(MemoryManagerError):
         table.lookup(("expert", 3))
+
+
+def test_take_page_ids_matches_allocate_order_and_frees():
+    """Bare page ids come out exactly as ``allocate`` would hand them out."""
+    records = MemoryPool(name="p", capacity_bytes=1000, page_bytes=100)
+    bare = MemoryPool(name="p", capacity_bytes=1000, page_bytes=100)
+    for needed in (1, 3, 1, 2):
+        assert bare.take_page_ids(needed) == records.allocate(needed * 100).pages
+    assert bare.used_pages == records.used_pages == 7
+    pages = bare.take_page_ids(1)
+    bare.free_page_ids(pages)
+    with pytest.raises(MemoryManagerError):
+        bare.free_page_ids(pages)  # double free
+    with pytest.raises(MemoryManagerError):
+        bare.take_page_ids(4)  # only 3 pages left
+    assert bare.free_pages == 3

@@ -15,6 +15,9 @@ Covers the PR's robustness acceptance criteria at tier 1:
 * terminal outcome codes surface per-class drop counts in reports.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.cluster.spec import ClusterSpec, DeviceSpec, GPULinkSpec
@@ -677,3 +680,34 @@ class TestOutcomeCodes:
         )
         assert streaming.report.outcomes == exact.report.outcomes
         assert streaming.report.num_retries == exact.report.num_retries
+
+
+# ----------------------------------------------------------------------
+# Teardown after a finished run
+# ----------------------------------------------------------------------
+class TestRunTeardown:
+    @pytest.mark.parametrize("store_samples", [True, False])
+    def test_finished_run_frees_its_cores_without_the_collector(
+        self, setup, store_samples
+    ):
+        """Cores, loop, disagg controller and injector reference one
+        another only while the run lasts: once it is over, the cores (and
+        their pools and blocks) free by reference counting alone, so peak
+        memory never waits on the cyclic collector."""
+        _, _, _, _, rate = setup
+        system = make_system(
+            setup,
+            disaggregated=True,
+            store_samples=store_samples,
+            faults=FaultSchedule.transient_crash(0, at=1.0, recover_at=2.0),
+            resilience=ResiliencePolicy(max_retries=1),
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            served = system._serve(PoissonProcess(rate), NUM_REQUESTS, SEED)
+            cores = [weakref.ref(core) for core in served[1]]
+            del served
+            assert [core() for core in cores] == [None] * len(cores)
+        finally:
+            gc.enable()

@@ -11,7 +11,8 @@ The performance overhaul's contract is that every optimization is
   bit-for-bit the same decisions as the retained polling closure, for
   both load-driven and cache-aware policies;
 * the engine's O(1) counters (load, offered/completed/rejected, busy
-  accumulators) agree with the scans they replaced;
+  accumulators) agree with the scans they replaced, for ``ServingSystem``
+  and the sharded system alike;
 * a long streaming run's peak memory does not grow with stream length.
 """
 
@@ -20,7 +21,7 @@ import tracemalloc
 import pytest
 
 from repro.experiments.serving_sweep import offline_capacity
-from repro.serving import PoissonProcess, default_slo
+from repro.serving import PoissonProcess, ServingResult, ServingSystem, default_slo
 from repro.serving.metrics import ReportBuilder
 from repro.serving.queue import ServingRequest
 from repro.serving.server import EngineCore, EngineStepModel
@@ -49,6 +50,27 @@ def make_sharded(backend, num_requests, num_shards=4, **kwargs):
         slo=slo,
         **kwargs,
     )
+
+
+def make_single(backend, num_requests, **kwargs):
+    workload = chat(generation_len=GENERATION_LEN, num_requests=num_requests)
+    policy = backend.select_policy(workload)
+    slo = default_slo(backend, workload, policy)
+    return ServingSystem(backend, workload, policy=policy, slo=slo, **kwargs)
+
+
+def engine_totals(result):
+    """The per-engine counters a result reports (shard rows, or the one
+    engine's admission stats and busy totals)."""
+    if isinstance(result, ServingResult):
+        return (
+            result.admission_stats,
+            result.busy_s,
+            result.decode_busy_total,
+            result.prefill_busy_total,
+            result.overlapped_total,
+        )
+    return [s.as_row() for s in result.shard_stats]
 
 
 def sustainable_rate(backend, num_shards, load_factor=0.8):
@@ -88,13 +110,24 @@ def per_request_instants(records):
 # ----------------------------------------------------------------------
 # Streaming vs. exact equivalence
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("router", ["round-robin", "least-loaded"])
+@pytest.mark.parametrize(
+    "router",
+    ["round-robin", "least-loaded", pytest.param(None, id="serving-system")],
+)
 def test_streaming_mode_reproduces_exact_timeline(backend, monkeypatch, router):
-    """Same stream, same instants: only the report aggregation differs."""
+    """Same stream, same instants: only the report aggregation differs.
+
+    ``router=None`` runs the single-engine :class:`ServingSystem`; the
+    others run four shards behind that router.
+    """
     num_requests = 300
-    exact = run_stream(
-        make_sharded(backend, num_requests, router=router), num_requests
-    )
+
+    def make(**kwargs):
+        if router is None:
+            return make_single(backend, num_requests, **kwargs)
+        return make_sharded(backend, num_requests, router=router, **kwargs)
+
+    exact = run_stream(make(), num_requests)
 
     captured = []
     original = ReportBuilder.observe
@@ -111,21 +144,16 @@ def test_streaming_mode_reproduces_exact_timeline(backend, monkeypatch, router):
 
     monkeypatch.setattr(ReportBuilder, "observe", spy)
     monkeypatch.setattr(ReportBuilder, "observe_many", spy_many)
-    streaming = run_stream(
-        make_sharded(backend, num_requests, router=router, store_samples=False),
-        num_requests,
-    )
+    streaming = run_stream(make(store_samples=False), num_requests)
 
-    # Bit-for-bit: makespan, per-request instants, shard stats, and every
-    # exact (counter-derived) report field.
+    # Bit-for-bit: makespan, per-request instants, per-engine counters, and
+    # every exact (counter-derived) report field.
     assert streaming.makespan == exact.makespan
     assert len(captured) == num_requests
     assert per_request_instants(captured) == per_request_instants(
         exact.requests
     )
-    assert [s.as_row() for s in streaming.shard_stats] == [
-        s.as_row() for s in exact.shard_stats
-    ]
+    assert engine_totals(streaming) == engine_totals(exact)
     assert streaming.report.num_offered == exact.report.num_offered
     assert streaming.report.num_completed == exact.report.num_completed
     assert streaming.report.num_rejected == exact.report.num_rejected
@@ -177,6 +205,55 @@ def test_incremental_routing_matches_polling(backend, router, prefix_cache):
     assert [s.as_row() for s in incremental.shard_stats] == [
         s.as_row() for s in polling.shard_stats
     ]
+
+
+@pytest.mark.parametrize("num_shards", [1, 2])
+def test_busy_accumulators_match_step_scan(backend, num_shards):
+    """The engine's O(1) busy totals equal a scan over its step list.
+
+    An overlapped, chunked run mixes decode and prefill work in one step,
+    so all four totals are non-trivial.  One shard checks the totals
+    ``ServingSystem`` reports; two shards check each sharded core's.
+    """
+    num_requests = 120
+    options = {"overlap": True, "chunk_prefill_tokens": 96}
+    if num_shards == 1:
+        result = run_stream(make_single(backend, num_requests, **options), num_requests)
+        engines = [
+            (
+                result.steps,
+                (
+                    result.busy_s,
+                    result.decode_busy_total,
+                    result.prefill_busy_total,
+                    result.overlapped_total,
+                ),
+            )
+        ]
+    else:
+        system = make_sharded(backend, num_requests, num_shards=2, **options)
+        _, cores, _, _, _ = system._serve(PoissonProcess(120.0), num_requests, SEED)
+        engines = [
+            (
+                core.steps,
+                (
+                    core.busy_time,
+                    core.decode_stream_busy,
+                    core.prefill_stream_busy,
+                    core.overlapped_time,
+                ),
+            )
+            for core in cores
+        ]
+    for steps, totals in engines:
+        assert any(step.kind == "mixed" for step in steps)
+        assert totals == (
+            sum(step.duration for step in steps),
+            sum(step.decode_time for step in steps),
+            sum(step.prefill_time for step in steps),
+            sum(step.overlapped_time for step in steps),
+        )
+        assert totals[3] > 0.0
 
 
 def test_load_counter_matches_scan(backend):
