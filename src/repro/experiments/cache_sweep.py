@@ -66,20 +66,11 @@ def run_cache_sweep(
     aggregation (flat memory in the stream length); the library default
     stays exact, the CLI harness defaults to streaming.
     """
-    from repro.experiments.serving_sweep import (
-        ARRIVAL_PROCESSES,
-        SERVING_SYSTEMS,
-        offline_capacity,
-    )
+    from repro.experiments.serving_sweep import offline_capacity, sweep_factories
 
     if not load_factors:
         raise ConfigurationError("load_factors must not be empty")
-    if arrival not in ARRIVAL_PROCESSES:
-        known = ", ".join(sorted(ARRIVAL_PROCESSES))
-        raise ConfigurationError(f"unknown arrival process {arrival!r}; known: {known}")
-    if system_name not in SERVING_SYSTEMS:
-        known = ", ".join(sorted(SERVING_SYSTEMS))
-        raise ConfigurationError(f"unknown system {system_name!r}; known: {known}")
+    (make_backend,), make_process = sweep_factories([system_name], arrival)
 
     model = get_model(model_name)
     hardware = get_hardware(hardware_name)
@@ -90,7 +81,7 @@ def run_cache_sweep(
         system_prompt_len=system_prompt_len,
         user_turn_len=user_turn_len,
     )
-    backend = SERVING_SYSTEMS[system_name](model, hardware)
+    backend = make_backend(model, hardware)
     policy = backend.select_policy(workload)
     shared_slo = slo or default_slo(backend, workload, policy)
     rate_reference = offline_capacity(backend, workload, policy)
@@ -98,7 +89,7 @@ def run_cache_sweep(
     rows: list[dict[str, object]] = []
     for load_factor in load_factors:
         rate = load_factor * rate_reference
-        process = ARRIVAL_PROCESSES[arrival](rate)
+        process = make_process(rate)
         for prefix_cache in (False, True):
             serving = ServingSystem(
                 backend,

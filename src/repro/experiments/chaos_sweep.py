@@ -136,20 +136,14 @@ def run_chaos_sweep(
     into one-prompt steps and the tail blows through the TTFT SLO for a
     reason that has nothing to do with the fault model under test.
     """
-    from repro.experiments.serving_sweep import (
-        ARRIVAL_PROCESSES,
-        SERVING_SYSTEMS,
-        offline_capacity,
-    )
+    from repro.experiments.serving_sweep import offline_capacity, sweep_factories
 
     if num_shards < 2:
         raise ConfigurationError(
             "the chaos sweep needs >= 2 shards: a 1-shard cluster has no "
             "surviving capacity to degrade onto"
         )
-    if system_name not in SERVING_SYSTEMS:
-        known = ", ".join(sorted(SERVING_SYSTEMS))
-        raise ConfigurationError(f"unknown system {system_name!r}; known: {known}")
+    (make_backend,), make_process = sweep_factories([system_name])
 
     model = get_model(model_name)
     hardware = get_hardware(hardware_name)
@@ -160,11 +154,11 @@ def run_chaos_sweep(
         system_prompt_len=system_prompt_len,
         user_turn_len=user_turn_len,
     )
-    backend = SERVING_SYSTEMS[system_name](model, hardware)
+    backend = make_backend(model, hardware)
     policy = backend.select_policy(workload)
     slo = default_slo(backend, workload, policy)
     rate = num_shards * load_factor * offline_capacity(backend, workload, policy)
-    process = ARRIVAL_PROCESSES["poisson"](rate)
+    process = make_process(rate)
 
     def serve(
         faults: FaultSchedule | None = None,

@@ -145,16 +145,9 @@ def run_disagg_sweep(
     A loose TPOT target (the unified default of 2.5x) absorbs that
     interference and reduces the comparison to raw makespan.
     """
-    from repro.experiments.serving_sweep import (
-        SERVING_SYSTEMS,
-        offline_capacity,
-    )
+    from repro.experiments.serving_sweep import offline_capacity, sweep_factories
 
-    if system_name not in SERVING_SYSTEMS:
-        known = ", ".join(sorted(SERVING_SYSTEMS))
-        raise ConfigurationError(
-            f"unknown system {system_name!r}; known: {known}"
-        )
+    (make_backend,), _ = sweep_factories([system_name])
     require_positive_int("num_shards", num_shards)
     if num_shards < 2:
         raise ConfigurationError(
@@ -175,7 +168,7 @@ def run_disagg_sweep(
     )
     workload = mixed_workload(chat, long)
 
-    backend = SERVING_SYSTEMS[system_name](model, slow_node)
+    backend = make_backend(model, slow_node)
     policy = backend.select_policy(workload)
     shared_slo = slo or default_slo(
         backend,
@@ -394,10 +387,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.session_ttl is not None and args.prefix_cache != "on":
-            raise ConfigurationError(
-                "--session-ttl requires --prefix-cache on"
-            )
         rows = run_disagg_sweep(
             system_name=args.system,
             model_name=args.model,

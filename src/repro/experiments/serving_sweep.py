@@ -56,6 +56,26 @@ ARRIVAL_PROCESSES: dict[str, Callable[[float], ArrivalProcess]] = {
 }
 
 
+def sweep_factories(
+    system_names: Sequence[str], arrival: str = "poisson"
+) -> tuple[list[Callable[..., OffloadingSystem]], Callable[[float], ArrivalProcess]]:
+    """The backend factories and the arrival-process factory a sweep names.
+
+    Raises :class:`ConfigurationError` listing the known choices when a
+    name is unknown, before the sweep does any work.
+    """
+    if arrival not in ARRIVAL_PROCESSES:
+        known = ", ".join(sorted(ARRIVAL_PROCESSES))
+        raise ConfigurationError(f"unknown arrival process {arrival!r}; known: {known}")
+    unknown = [name for name in system_names if name not in SERVING_SYSTEMS]
+    if unknown:
+        known = ", ".join(sorted(SERVING_SYSTEMS))
+        names = ", ".join(map(repr, unknown))
+        raise ConfigurationError(f"unknown system {names}; known: {known}")
+    factories = [SERVING_SYSTEMS[name] for name in system_names]
+    return factories, ARRIVAL_PROCESSES[arrival]
+
+
 def offline_capacity(backend: OffloadingSystem, workload, policy) -> float:
     """Requests per second the backend sustains on a static batch."""
     estimate = backend.performance_model(workload).estimate(policy)
@@ -104,13 +124,7 @@ def run_serving_sweep(
     """
     if not load_factors:
         raise ConfigurationError("load_factors must not be empty")
-    if arrival not in ARRIVAL_PROCESSES:
-        known = ", ".join(sorted(ARRIVAL_PROCESSES))
-        raise ConfigurationError(f"unknown arrival process {arrival!r}; known: {known}")
-    unknown = [name for name in system_names if name not in SERVING_SYSTEMS]
-    if unknown:
-        known = ", ".join(sorted(SERVING_SYSTEMS))
-        raise ConfigurationError(f"unknown systems {unknown}; known: {known}")
+    factories, make_process = sweep_factories(system_names, arrival)
 
     model = get_model(model_name)
     hardware = get_hardware(hardware_name)
@@ -118,7 +132,7 @@ def run_serving_sweep(
         workload_name, generation_len=generation_len, num_requests=num_requests
     )
 
-    backends = [SERVING_SYSTEMS[name](model, hardware) for name in system_names]
+    backends = [make_backend(model, hardware) for make_backend in factories]
     policies = [backend.select_policy(workload) for backend in backends]
     shared_slo = slo or default_slo(backends[0], workload, policies[0])
     reference_rate = offline_capacity(backends[0], workload, policies[0])
@@ -147,7 +161,7 @@ def run_serving_sweep(
     run_index = 0
     for load_factor in load_factors:
         rate = load_factor * reference_rate
-        process = ARRIVAL_PROCESSES[arrival](rate)
+        process = make_process(rate)
         for serving in servers:
             run_index += 1
             attach = telemetry if run_index == total_runs else None
@@ -400,12 +414,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             )
         if args.shards < 1:
             raise ConfigurationError(f"--shards must be >= 1, got {args.shards}")
-        if args.session_ttl is not None and args.prefix_cache != "on":
-            raise ConfigurationError(
-                "--session-ttl requires --prefix-cache on: without the "
-                "shared block store there are no idle cached sessions to "
-                "expire"
-            )
 
         meta = {
             "model": args.model,

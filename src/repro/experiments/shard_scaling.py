@@ -75,21 +75,12 @@ def run_shard_scaling(
     aggregation (flat memory in the stream length); the library default
     stays exact, the ``repro-serve`` CLI defaults to streaming.
     """
-    from repro.experiments.serving_sweep import (
-        ARRIVAL_PROCESSES,
-        SERVING_SYSTEMS,
-        offline_capacity,
-    )
+    from repro.experiments.serving_sweep import offline_capacity, sweep_factories
 
     if router not in ROUTER_POLICIES:
         known = ", ".join(ROUTER_POLICIES)
         raise ConfigurationError(f"unknown router policy {router!r}; known: {known}")
-    if arrival not in ARRIVAL_PROCESSES:
-        known = ", ".join(sorted(ARRIVAL_PROCESSES))
-        raise ConfigurationError(f"unknown arrival process {arrival!r}; known: {known}")
-    if system_name not in SERVING_SYSTEMS:
-        known = ", ".join(sorted(SERVING_SYSTEMS))
-        raise ConfigurationError(f"unknown system {system_name!r}; known: {known}")
+    (make_backend,), make_process = sweep_factories([system_name], arrival)
     if not shard_counts:
         raise ConfigurationError("shard_counts must not be empty")
 
@@ -98,11 +89,11 @@ def run_shard_scaling(
     workload = get_workload(
         workload_name, generation_len=generation_len, num_requests=num_requests
     )
-    backend = SERVING_SYSTEMS[system_name](model, hardware)
+    backend = make_backend(model, hardware)
     policy = backend.select_policy(workload)
     shared_slo = slo or default_slo(backend, workload, policy)
     rate = load_factor * offline_capacity(backend, workload, policy)
-    process = ARRIVAL_PROCESSES[arrival](rate)
+    process = make_process(rate)
 
     rows: list[dict[str, object]] = []
     for index, num_shards in enumerate(shard_counts):

@@ -13,9 +13,11 @@ load (and therefore per-shard step count) is roughly constant across
 points and events/sec should scale near-linearly in both stream length and
 shard count; :func:`check_near_linear_scaling` asserts the length axis.
 
-:func:`measure_reference` times the retained pre-optimization loop
-(:meth:`~repro.serving.sharded.ShardedServingSystem.run_time_sliced`, with
-polling routing and exact stored-sample reports) on a calibration-sized
+:func:`measure_point` measures one of two code paths: ``"streaming"``, the
+event loop's hot path, or ``"time-sliced"``, the retained pre-optimization
+loop (:meth:`~repro.serving.sharded.ShardedServingSystem.run_time_sliced`,
+with polling routing and exact stored-sample reports).
+:func:`measure_reference` times the time-sliced loop on a calibration-sized
 stream in the flagship configuration — cache-aware routing over a shared
 prefix cache — where the polling router re-hashes every prompt once per
 shard per arrival.  A matched streaming point at the same configuration
@@ -116,9 +118,9 @@ def measure_point(
     """Serve one chat stream and report its wall-clock event rate.
 
     ``mode`` selects the code path under measurement: ``"streaming"`` (the
-    hot path: lazy arrivals, sketch reports, incremental routing),
-    ``"exact"`` (event loop with stored samples and polling routing) or
-    ``"time-sliced"`` (the retained pre-optimization reference loop).
+    hot path: lazy arrivals, sketch reports, incremental routing) or
+    ``"time-sliced"`` (the retained pre-optimization reference loop with
+    polling routing and stored samples).
     The offered arrival rate is ``load_factor`` x the shards' aggregate
     offline capacity for this workload, keeping queues bounded.
     ``trace_memory`` adds a ``tracemalloc`` peak — it roughly doubles the
@@ -127,19 +129,17 @@ def measure_point(
     require_positive_int("num_requests", num_requests)
     require_positive_int("num_shards", num_shards)
     require_positive("load_factor", load_factor)
-    if mode not in ("streaming", "exact", "time-sliced"):
+    if mode not in ("streaming", "time-sliced"):
         raise ConfigurationError(f"unknown simperf mode {mode!r}")
     workload = chat(generation_len=generation_len, num_requests=num_requests)
     rate_per_shard = _rate_per_shard(backend, workload, load_factor)
-    streaming = mode == "streaming"
     system = ShardedServingSystem(
         backend,
         workload,
         num_shards=num_shards,
         router=router,
         prefix_cache=prefix_cache,
-        store_samples=not streaming,
-        incremental_routing=streaming,
+        store_samples=mode != "streaming",
     )
     process = PoissonProcess(rate_per_shard * num_shards)
     peak_mem_mb = None

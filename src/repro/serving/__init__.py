@@ -10,8 +10,8 @@ metrics, so MoE-Lightning and the baselines become comparable under load.
 
 * :mod:`repro.serving.arrivals` — Poisson / Gamma-burst / deterministic /
   replay arrival processes over the Table 3 prompt-length samplers.
-* :mod:`repro.serving.queue` — request lifecycle plus the bounded waiting
-  queue (FCFS or shortest-job-first ordering).
+* :mod:`repro.serving.queue` — request lifecycle plus the bounded
+  first-come-first-served waiting queue.
 * :mod:`repro.serving.admission` — KV-cache and CPU/GPU-memory gated
   admission via the paged allocator and the analytical memory model; with
   ``prefix_cache=True`` requests are admitted at their *incremental*

@@ -34,7 +34,6 @@ from repro.runtime.kv_cache import KVCacheManager
 from repro.runtime.memory_manager import MemoryPool
 from repro.serving.queue import ServingRequest
 from repro.utils.errors import MemoryManagerError
-from repro.utils.validation import require_positive_int
 from repro.workloads.spec import WorkloadSpec
 
 
@@ -51,8 +50,9 @@ class AdmissionController:
 
     The CPU/GPU KV budgets are the memory capacities usable by the policy
     minus its non-KV footprint (weights, activations, workspace) as
-    projected by the memory model; explicit ``*_kv_budget_bytes`` overrides
-    let tests pin exact boundaries.
+    projected by the memory model; an explicit ``cpu_kv_budget_bytes``
+    override lets tests pin exact boundaries.  Live sequences are capped at
+    the policy's batch size.
     """
 
     def __init__(
@@ -62,10 +62,8 @@ class AdmissionController:
         workload: WorkloadSpec,
         policy: Policy,
         padded: bool = False,
-        max_live_requests: int | None = None,
         block_tokens: int = 16,
         cpu_kv_budget_bytes: float | None = None,
-        gpu_kv_budget_bytes: float | None = None,
         prefix_cache: bool = False,
         reserve_output_tokens: bool = True,
         telemetry=None,
@@ -81,10 +79,7 @@ class AdmissionController:
         #: Optional :class:`repro.obs.Telemetry`; verdict counters only —
         #: admission has no clock, so timestamped events stay with the engine.
         self.telemetry = telemetry
-        self.max_live_requests = (
-            max_live_requests if max_live_requests is not None else policy.batch_size
-        )
-        require_positive_int("max_live_requests", self.max_live_requests)
+        self.max_live_requests = policy.batch_size
 
         memory_model = MemoryModel(
             model=model, hardware=hardware, workload=workload, padded=padded
@@ -94,11 +89,10 @@ class AdmissionController:
             cpu_kv_budget_bytes = memory_model.usable_cpu_memory - (
                 cpu_usage.total - cpu_usage.kv_cache
             )
-        if gpu_kv_budget_bytes is None:
-            gpu_usage = memory_model.gpu_usage(policy)
-            gpu_kv_budget_bytes = memory_model.usable_gpu_memory - (
-                gpu_usage.total - gpu_usage.kv_cache
-            )
+        gpu_usage = memory_model.gpu_usage(policy)
+        gpu_kv_budget_bytes = memory_model.usable_gpu_memory - (
+            gpu_usage.total - gpu_usage.kv_cache
+        )
 
         # Grouped exactly as KVCacheManager computes one block's bytes
         # (block_tokens * bytes_per_token()), so the pool pages below and

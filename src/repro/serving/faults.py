@@ -268,8 +268,8 @@ class ResiliencePolicy:
       re-warms).  Each attempt gets its own SLO clock — its arrival time
       is the re-injection instant.
     * ``deadline`` — queued requests older than this at a step boundary
-      are dropped with a ``"timeout"`` code (checked head-first, exact
-      under FCFS queue ordering).
+      are dropped with a ``"timeout"`` code (checked head-first, which is
+      exact because the queue is FCFS).
     * ``shed`` / ``shed_ttft_factor`` — predictive admission: an arrival
       whose predicted queue wait already exceeds ``shed_ttft_factor``
       times the TTFT SLO is dropped at the door (``"shed"``) instead of

@@ -122,25 +122,11 @@ class ServingReport:
     num_retries: int = 0
 
     @property
-    def completion_rate(self) -> float:
-        """Fraction of offered requests that completed."""
-        if self.num_offered == 0:
-            return 0.0
-        return self.num_completed / self.num_offered
-
-    @property
     def token_throughput(self) -> float:
         """Generated tokens per second over the whole run."""
         if self.makespan <= 0:
             return 0.0
         return self.tokens_generated / self.makespan
-
-    @property
-    def request_throughput(self) -> float:
-        """Completed requests per second over the whole run."""
-        if self.makespan <= 0:
-            return 0.0
-        return self.num_completed / self.makespan
 
     @property
     def goodput_fraction(self) -> float:
@@ -239,72 +225,29 @@ class ReportBuilder:
 
     def observe(self, sr: ServingRequest) -> None:
         """Fold one terminal (or still-live, at stream end) request in."""
-        self.num_offered += 1
-        if sr.attempt:
-            self.num_retries += 1
-        state = sr.state
-        if state is RequestState.REJECTED:
-            self.num_rejected += 1
-            code = sr.outcome_code or "other"
-            self.outcomes[code] = self.outcomes.get(code, 0) + 1
-            return
-        if state is not RequestState.FINISHED:
-            return
-        self.num_completed += 1
-        self.tokens_generated += sr.tokens_decoded
-        if self.slo.is_met(sr):
-            self.slo_met += 1
-        self.prompt_tokens += sr.request.effective_input_len
-        self.cached_tokens += sr.tokens_cached
-        hit = sr.is_cache_hit
-        if hit:
-            self.cache_hits += 1
-        ttft = sr.ttft
-        tpot = sr.tpot
-        e2e = sr.e2e_latency
-        if self.store_samples:
-            if ttft is not None:
-                self._samples["ttft"].append(ttft)
-                (self._hit_ttfts if hit else self._miss_ttfts).append(ttft)
-            if tpot is not None:
-                self._samples["tpot"].append(tpot)
-            if e2e is not None:
-                self._samples["e2e"].append(e2e)
-        else:
-            if ttft is not None:
-                for sketch in self._sketch_tuples["ttft"]:
-                    sketch.add(ttft)
-                self._sums["ttft"] += ttft
-                self._counts["ttft"] += 1
-                key = "hit_ttft" if hit else "miss_ttft"
-                self._sums[key] += ttft
-                self._counts[key] += 1
-            if tpot is not None:
-                for sketch in self._sketch_tuples["tpot"]:
-                    sketch.add(tpot)
-                self._sums["tpot"] += tpot
-                self._counts["tpot"] += 1
-            if e2e is not None:
-                for sketch in self._sketch_tuples["e2e"]:
-                    sketch.add(e2e)
+        self._fold((sr,))
 
     def observe_many(self, serving_requests: Iterable[ServingRequest]) -> None:
         """Fold a batch of terminal requests in (one retirement's worth).
 
         Identical aggregate state to calling :meth:`observe` per request in
-        the same order: each P² sketch sees its own metric's values in
-        batch order, and the running float sums accumulate left-to-right —
-        only the per-request call and dict-lookup overhead is amortised.
+        the same order; only the per-call overhead is amortised.
         """
-        if self.store_samples:
-            for serving_request in serving_requests:
-                self.observe(serving_request)
-            return
-        ttfts: list[float] = []
-        tpots: list[float] = []
-        e2es: list[float] = []
-        sums = self._sums
-        counts = self._counts
+        self._fold(serving_requests)
+
+    def _fold(self, serving_requests: Iterable[ServingRequest]) -> None:
+        # Each P² sketch sees its own metric's values in request order and
+        # the running float sums accumulate left-to-right, so one call per
+        # request and one call per batch reach the same state bit-for-bit.
+        store = self.store_samples
+        if store:
+            ttfts = self._samples["ttft"]
+            tpots = self._samples["tpot"]
+            e2es = self._samples["e2e"]
+        else:
+            ttfts, tpots, e2es = [], [], []
+            sums = self._sums
+            counts = self._counts
         for sr in serving_requests:
             self.num_offered += 1
             if sr.attempt:
@@ -331,26 +274,26 @@ class ReportBuilder:
             e2e = sr.e2e_latency
             if ttft is not None:
                 ttfts.append(ttft)
-                sums["ttft"] += ttft
-                counts["ttft"] += 1
-                key = "hit_ttft" if hit else "miss_ttft"
-                sums[key] += ttft
-                counts[key] += 1
+                if store:
+                    (self._hit_ttfts if hit else self._miss_ttfts).append(ttft)
+                else:
+                    sums["ttft"] += ttft
+                    counts["ttft"] += 1
+                    key = "hit_ttft" if hit else "miss_ttft"
+                    sums[key] += ttft
+                    counts[key] += 1
             if tpot is not None:
                 tpots.append(tpot)
-                sums["tpot"] += tpot
-                counts["tpot"] += 1
+                if not store:
+                    sums["tpot"] += tpot
+                    counts["tpot"] += 1
             if e2e is not None:
                 e2es.append(e2e)
-        if ttfts:
-            for sketch in self._sketch_tuples["ttft"]:
-                sketch.add_many(ttfts)
-        if tpots:
-            for sketch in self._sketch_tuples["tpot"]:
-                sketch.add_many(tpots)
-        if e2es:
-            for sketch in self._sketch_tuples["e2e"]:
-                sketch.add_many(e2es)
+        if not store:
+            for name, values in (("ttft", ttfts), ("tpot", tpots), ("e2e", e2es)):
+                if values:
+                    for sketch in self._sketch_tuples[name]:
+                        sketch.add_many(values)
 
     def _percentiles(self, name: str) -> dict[int, float]:
         # A run that completed nothing reports 0.0 percentiles (the

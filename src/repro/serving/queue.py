@@ -2,13 +2,9 @@
 
 A :class:`ServingRequest` tracks one request from arrival to completion and
 records the timestamps the latency metrics are computed from.  The
-:class:`RequestQueue` holds admitted-but-not-yet-prefilled requests with a
-bounded depth (arrivals that find the queue full are dropped, which is what
-bounds tail latency under overload) and a pluggable ordering:
-
-* ``"fcfs"`` — strict arrival order;
-* ``"sjf"`` — shortest prompt first (cheapest prefill first, a classic
-  latency-versus-fairness trade).
+:class:`RequestQueue` holds admitted-but-not-yet-prefilled requests in
+arrival order with a bounded depth (arrivals that find the queue full are
+dropped, which is what bounds tail latency under overload).
 """
 
 from __future__ import annotations
@@ -127,11 +123,6 @@ class ServingRequest:
         return self.request.effective_input_len + self.tokens_decoded
 
     @property
-    def is_finished(self) -> bool:
-        """Whether every requested token has been generated."""
-        return self.tokens_decoded >= self.request.generation_len
-
-    @property
     def prefill_remaining(self) -> int:
         """Prompt tokens not yet prefilled (drives chunked prefill).
 
@@ -237,29 +228,15 @@ ServingRequest.tokens_decoded = property(  # type: ignore[assignment]
 )
 
 
-#: Queue orderings: name -> sort key over a ServingRequest.
-QUEUE_ORDERINGS = {
-    "fcfs": lambda sr: (sr.arrival_time,),
-    "sjf": lambda sr: (sr.request.effective_input_len, sr.arrival_time),
-}
-
-
 class RequestQueue:
-    """Bounded waiting queue with a pluggable priority ordering."""
+    """Bounded first-come-first-served waiting queue (a heap on arrival time)."""
 
-    def __init__(self, ordering: str = "fcfs", max_depth: int | None = None) -> None:
-        if ordering not in QUEUE_ORDERINGS:
-            known = ", ".join(sorted(QUEUE_ORDERINGS))
-            raise ConfigurationError(
-                f"unknown queue ordering {ordering!r}; known: {known}"
-            )
+    def __init__(self, max_depth: int | None = None) -> None:
         if max_depth is not None:
             require_positive_int("max_depth", max_depth)
-        self.ordering = ordering
         self.max_depth = max_depth
-        self._key = QUEUE_ORDERINGS[ordering]
         self._tiebreak = itertools.count()
-        self._heap: list[tuple[tuple, int, ServingRequest]] = []
+        self._heap: list[tuple[float, int, ServingRequest]] = []
 
     @property
     def is_full(self) -> bool:
@@ -272,7 +249,7 @@ class RequestQueue:
             return False
         heapq.heappush(
             self._heap,
-            (self._key(serving_request), next(self._tiebreak), serving_request),
+            (serving_request.arrival_time, next(self._tiebreak), serving_request),
         )
         return True
 
@@ -289,12 +266,12 @@ class RequestQueue:
     def requeue(self, serving_request: ServingRequest) -> None:
         """Return a popped request to the queue (e.g. admission deferred it).
 
-        Re-pushes under the same ordering key; the fresh tiebreak only
-        matters for exact ties, which FCFS arrival times never produce.
+        Re-pushes under its arrival time; the fresh tiebreak only matters
+        for exact ties, which arrival times never produce.
         """
         heapq.heappush(
             self._heap,
-            (self._key(serving_request), next(self._tiebreak), serving_request),
+            (serving_request.arrival_time, next(self._tiebreak), serving_request),
         )
 
     def drain(self) -> list[ServingRequest]:

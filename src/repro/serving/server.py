@@ -44,6 +44,9 @@ from repro.workloads.spec import WorkloadSpec
 #: ``DEVICE_ROLES``; kept local so serving stays importable without it).
 ENGINE_ROLES = ("unified", "prefill", "decode")
 
+#: Context-length granularity (tokens) of the step-price memo keys.
+CTX_BUCKET = 32
+
 
 class EngineStepModel:
     """Memoised per-step latency oracle for one backend + policy.
@@ -60,21 +63,18 @@ class EngineStepModel:
         workload: WorkloadSpec,
         policy: Policy,
         use_simulator: bool = False,
-        ctx_bucket: int = 32,
     ) -> None:
-        require_positive_int("ctx_bucket", ctx_bucket)
         self.backend = backend
         self.workload = workload
         self.policy = policy
         self.use_simulator = use_simulator
-        self.ctx_bucket = ctx_bucket
         self._decode_cache: dict[tuple[int, int], float] = {}
         self._prefill_cache: dict[tuple[int, int, int], float] = {}
         self._performance = backend.performance_model(workload)
 
     def _bucket_ctx(self, context_len: float) -> int:
-        buckets = max(1, round(context_len / self.ctx_bucket))
-        return buckets * self.ctx_bucket
+        buckets = max(1, round(context_len / CTX_BUCKET))
+        return buckets * CTX_BUCKET
 
     def _sized_policy(self, num_requests: int) -> Policy:
         return self.policy.with_batch_size(num_requests)
@@ -255,23 +255,18 @@ class EngineCore:
 
     def __init__(
         self,
-        backend: OffloadingSystem,
-        workload: WorkloadSpec,
-        policy: Policy,
         step_model: EngineStepModel,
         scheduling: str = "fcfs",
-        queue_ordering: str = "fcfs",
         max_queue_depth: int | None = None,
         block_tokens: int = 16,
         chunk_prefill_tokens: int | None = None,
-        shard_id: int | None = None,
+        shard_id: int = 0,
         prefix_cache: bool = False,
         overlap: bool = False,
         role: str = "unified",
         session_ttl: float | None = None,
         telemetry=None,
         record_steps: bool = True,
-        on_finish=None,
         on_reject=None,
         on_finish_batch=None,
         resilience=None,
@@ -285,6 +280,11 @@ class EngineCore:
             raise ConfigurationError(
                 f"session_ttl must be > 0 seconds, got {session_ttl}"
             )
+        # Backend, workload and policy are the step model's: the core prices
+        # its steps and sizes its KV budgets against the same objects.
+        backend = step_model.backend
+        workload = step_model.workload
+        policy = step_model.policy
         self.policy = policy
         self.step_model = step_model
         self.chunk_prefill_tokens = chunk_prefill_tokens
@@ -322,7 +322,7 @@ class EngineCore:
             chunk_tokens=chunk_prefill_tokens,
             overlap=overlap,
         )
-        self.queue = RequestQueue(ordering=queue_ordering, max_depth=max_queue_depth)
+        self.queue = RequestQueue(max_depth=max_queue_depth)
         self.running: list[ServingRequest] = []
         self.prefilling: list[ServingRequest] = []
         #: ``record_steps=False`` is the streaming mode: the per-step busy
@@ -335,11 +335,10 @@ class EngineCore:
         self.now = 0.0
         self.dropped_queue_full = 0
         self._in_flight: _InFlightStep | None = None
-        #: Sinks for terminal requests (streaming report aggregation): each
-        #: is called exactly once per request, at its terminal instant.
-        #: ``on_finish_batch`` (if set) replaces ``on_finish`` with one call
-        #: per retirement batch, in the same per-request order.
-        self.on_finish = on_finish
+        #: Sinks for terminal requests (streaming report aggregation): a
+        #: rejected request reaches ``on_reject`` once, at its terminal
+        #: instant; finished requests reach ``on_finish_batch`` in one call
+        #: per retirement batch, in retirement order.
         self.on_reject = on_reject
         self.on_finish_batch = on_finish_batch
         #: Disaggregation seams.  ``on_handoff(core, requests)`` fires when a
@@ -450,10 +449,6 @@ class EngineCore:
         mutation, so a router reads N loads in O(N) list accesses with no
         per-core calls (and no scans at all for the chosen shard).
         """
-        if self.shard_id is None:
-            raise SimulationError(
-                "attach_load_board requires a shard_id-bearing core"
-            )
         self._load_board = board
         board[self.shard_id] = self._load
 
@@ -472,8 +467,7 @@ class EngineCore:
         load (``shed``).  A down shard *with* recovery pending queues the
         request — it will be served after the reload.
         """
-        if self.shard_id is not None:
-            serving_request.shard_id = self.shard_id
+        serving_request.shard_id = self.shard_id
         self.offered_count += 1
         now = serving_request.arrival_time
         if self.down and not self.recover_pending:
@@ -750,12 +744,10 @@ class EngineCore:
     def _expire_deadline(self) -> None:
         """Drop queued requests whose deadline has already passed.
 
-        Checked head-first at each step boundary: under FCFS ordering the
-        head is the oldest waiter, so the sweep is exact; under SJF it
-        catches the expired head but may leave older long prompts deeper
-        in the heap until they surface.  Expired requests carry the
-        ``timeout`` outcome code and flow through ``on_fail`` so the
-        resilience layer can retry them elsewhere.
+        Checked head-first at each step boundary: the queue is FCFS, so the
+        head is the oldest waiter and the sweep is exact.  Expired requests
+        carry the ``timeout`` outcome code and flow through ``on_fail`` so
+        the resilience layer can retry them elsewhere.
         """
         deadline = self._deadline
         while True:
@@ -1160,8 +1152,6 @@ class EngineCore:
                 self.tokens_generated_total += serving_request.tokens_decoded
                 if self.telemetry is not None:
                     self.telemetry.record_finish(serving_request)
-                if self.on_finish is not None:
-                    self.on_finish(serving_request)
             if self.on_finish_batch is not None:
                 self.on_finish_batch(done)
             self._bump_load(-len(done))
@@ -1194,8 +1184,6 @@ class EngineCore:
             self.tokens_generated_total += serving_request.tokens_decoded
             if self.telemetry is not None:
                 self.telemetry.record_finish(serving_request)
-            if self.on_finish is not None:
-                self.on_finish(serving_request)
         if self.on_finish_batch is not None:
             self.on_finish_batch(finished)
         running = self.running

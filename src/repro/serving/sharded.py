@@ -33,6 +33,7 @@ from typing import Callable, Iterator
 
 from repro.cluster.spec import ClusterSpec, ethernet_100g
 from repro.core.policy import Policy
+from repro.hardware.spec import HardwareSpec
 from repro.serving.arrivals import ArrivalProcess, TimedRequest
 from repro.serving.event_loop import ServingEventLoop
 from repro.serving.faults import FaultInjector, FaultSchedule, ResiliencePolicy
@@ -177,17 +178,14 @@ class ShardedServingSystem:
         router: str = "round-robin",
         policy: Policy | None = None,
         scheduling: str = "fcfs",
-        queue_ordering: str = "fcfs",
         max_queue_depth: int | None = None,
         slo: SLO | None = None,
         use_simulator: bool = False,
-        ctx_bucket: int = 32,
         block_tokens: int = 16,
         chunk_prefill_tokens: int | None = None,
         prefix_cache: bool = False,
         overlap: bool = False,
         store_samples: bool = True,
-        incremental_routing: bool = True,
         disaggregated: bool = False,
         prefill_shards: int | None = None,
         session_ttl: float | None = None,
@@ -218,7 +216,6 @@ class ShardedServingSystem:
         self.router_policy = router
         self.policy = policy or backend.select_policy(workload)
         self.scheduling = scheduling
-        self.queue_ordering = queue_ordering
         self.max_queue_depth = max_queue_depth
         self.slo = slo or default_slo(backend, workload, self.policy)
         self.block_tokens = block_tokens
@@ -301,46 +298,31 @@ class ShardedServingSystem:
         #: The serving timeline is identical either way; only report
         #: percentiles may differ (within P^2 tolerance).
         self.store_samples = store_samples
-        #: ``incremental_routing=False`` keeps the original per-arrival
-        #: polling closure (the regression reference for the O(1) router
-        #: state below).
-        self.incremental_routing = incremental_routing
-        # One step model shared by every shard: the replicas are identical,
-        # so the (batch, context) -> latency memo is shard-agnostic.
-        self.step_model = EngineStepModel(
-            backend,
-            workload,
-            self.policy,
-            use_simulator=use_simulator,
-            ctx_bucket=ctx_bucket,
-        )
-        # A device-bearing cluster prices each shard against its own node:
-        # per-shard backends (same system, that device's hardware) feed both
-        # the shard's step model and its admission budgets.  Clusters without
-        # explicit devices keep the single shared model above — the
-        # bit-for-bit-preserved historical path.
-        self._shard_backends: list[OffloadingSystem] | None = None
-        self._shard_step_models: list[EngineStepModel] | None = None
+        # One step model per shard, shared by every shard on the same node
+        # so the (batch, context) -> latency memo is warm across them.  A
+        # device-bearing cluster prices each shard against its device's
+        # node (that node's backend also sizes the shard's KV budgets);
+        # clusters without explicit devices price every shard on
+        # ``backend`` itself.
         self._ready_at = [0.0] * num_shards
+        nodes: list[HardwareSpec | None] = [None] * num_shards
         if self.cluster is not None and self.cluster.devices:
-            self._shard_backends = []
-            self._shard_step_models = []
             for i in range(num_shards):
                 device = self.cluster.device(i)
-                shard_backend = backend.with_hardware(device.node)
-                self._shard_backends.append(shard_backend)
-                self._shard_step_models.append(
-                    EngineStepModel(
-                        shard_backend,
-                        workload,
-                        self.policy,
-                        use_simulator=use_simulator,
-                        ctx_bucket=ctx_bucket,
-                    )
-                )
+                nodes[i] = device.node
                 self._ready_at[i] = (
                     device.ready_at if device.serves else float("inf")
                 )
+        by_node: dict[HardwareSpec | None, EngineStepModel] = {}
+        for node in nodes:
+            if node not in by_node:
+                by_node[node] = EngineStepModel(
+                    backend if node is None else backend.with_hardware(node),
+                    workload,
+                    self.policy,
+                    use_simulator=use_simulator,
+                )
+        self.step_models = [by_node[node] for node in nodes]
         # Validate the router policy eagerly so configuration errors
         # surface at construction, not mid-run.
         ShardRouter(num_shards, router)
@@ -357,29 +339,14 @@ class ShardedServingSystem:
         self,
         telemetry=None,
         record_steps: bool = True,
-        on_finish: Callable[[ServingRequest], None] | None = None,
         on_reject: Callable[[ServingRequest], None] | None = None,
         on_finish_batch: Callable[[list[ServingRequest]], None] | None = None,
     ) -> list[EngineCore]:
         cores = []
-        for shard_id in range(self.num_shards):
-            backend = (
-                self._shard_backends[shard_id]
-                if self._shard_backends is not None
-                else self.backend
-            )
-            step_model = (
-                self._shard_step_models[shard_id]
-                if self._shard_step_models is not None
-                else self.step_model
-            )
+        for shard_id, step_model in enumerate(self.step_models):
             core = EngineCore(
-                backend=backend,
-                workload=self.workload,
-                policy=self.policy,
                 step_model=step_model,
                 scheduling=self.scheduling,
-                queue_ordering=self.queue_ordering,
                 max_queue_depth=self.max_queue_depth,
                 block_tokens=self.block_tokens,
                 chunk_prefill_tokens=self.chunk_prefill_tokens,
@@ -390,7 +357,6 @@ class ShardedServingSystem:
                 session_ttl=self.session_ttl,
                 telemetry=telemetry,
                 record_steps=record_steps,
-                on_finish=on_finish,
                 on_reject=on_reject,
                 on_finish_batch=on_finish_batch,
                 resilience=self.resilience,
@@ -448,8 +414,8 @@ class ShardedServingSystem:
         across every shard per arrival.
 
         The reference implementation for :meth:`_incremental_route_fn` —
-        O(shards) (O(shards x prompt) when cache-aware) per arrival, kept
-        for :meth:`run_time_sliced` and the router regression tests.
+        O(shards) (O(shards x prompt) when cache-aware) per arrival, used
+        by :meth:`run_time_sliced` and the router regression tests.
         """
 
         def route(serving_request: ServingRequest, cores) -> int:
@@ -596,10 +562,7 @@ class ShardedServingSystem:
             route = controller.route
         else:
             router = ShardRouter(self.num_shards, self.router_policy)
-            if self.incremental_routing:
-                route = self._incremental_route_fn(router, cores)
-            else:
-                route = self._route_fn(router)
+            route = self._incremental_route_fn(router, cores)
         injector = self._make_injector(cores, telemetry)
         if injector is not None:
             if controller is not None:
@@ -795,11 +758,9 @@ class ServingSystem(ShardedServingSystem):
         workload: WorkloadSpec,
         policy: Policy | None = None,
         scheduling: str = "fcfs",
-        queue_ordering: str = "fcfs",
         max_queue_depth: int | None = None,
         slo: SLO | None = None,
         use_simulator: bool = False,
-        ctx_bucket: int = 32,
         block_tokens: int = 16,
         chunk_prefill_tokens: int | None = None,
         prefix_cache: bool = False,
@@ -813,11 +774,9 @@ class ServingSystem(ShardedServingSystem):
             num_shards=1,
             policy=policy,
             scheduling=scheduling,
-            queue_ordering=queue_ordering,
             max_queue_depth=max_queue_depth,
             slo=slo,
             use_simulator=use_simulator,
-            ctx_bucket=ctx_bucket,
             block_tokens=block_tokens,
             chunk_prefill_tokens=chunk_prefill_tokens,
             prefix_cache=prefix_cache,

@@ -96,9 +96,6 @@ class TestMixedStepCountsEachRequestOnce:
     def test_num_requests_counts_decoders_plus_worked_prompts(self, setup):
         backend, workload, policy = setup
         core = EngineCore(
-            backend=backend,
-            workload=workload,
-            policy=policy,
             step_model=EngineStepModel(backend, workload, policy),
             chunk_prefill_tokens=64,
         )
@@ -149,9 +146,6 @@ class TestQueueFullDropLeavesClockUntouched:
     def test_drop_does_not_mutate_now(self, setup):
         backend, workload, policy = setup
         core = EngineCore(
-            backend=backend,
-            workload=workload,
-            policy=policy,
             step_model=EngineStepModel(backend, workload, policy),
             max_queue_depth=1,
         )

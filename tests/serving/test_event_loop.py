@@ -161,13 +161,7 @@ class TestEventGranularStepping:
     @pytest.fixture()
     def core(self, setup):
         backend, workload, policy, slo, rate = setup
-        step_model = EngineStepModel(backend, workload, policy)
-        return EngineCore(
-            backend=backend,
-            workload=workload,
-            policy=policy,
-            step_model=step_model,
-        )
+        return EngineCore(step_model=EngineStepModel(backend, workload, policy))
 
     def offer(self, core, arrival_time, input_len=64, generation_len=4):
         from repro.serving.queue import ServingRequest

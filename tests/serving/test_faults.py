@@ -454,14 +454,10 @@ class TestShedding:
     def test_shed_needs_slo(self, setup):
         # The facades always derive a default SLO, so the guard only
         # trips on direct EngineCore construction without one.
-        backend, workload, policy, _, _ = setup
         sharded = make_system(setup, num_shards=2)
         cores = sharded._make_cores()
         with pytest.raises(ConfigurationError, match="SLO"):
             EngineCore(
-                backend,
-                workload,
-                policy,
                 cores[0].step_model,
                 resilience=ResiliencePolicy(shed=True),
                 slo=None,

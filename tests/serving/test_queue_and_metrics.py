@@ -18,21 +18,13 @@ def make_request(prompt=8, gen=4, arrival=0.0):
 
 class TestRequestQueue:
     def test_fcfs_orders_by_arrival(self):
-        queue = RequestQueue(ordering="fcfs")
+        queue = RequestQueue()
         late = make_request(prompt=1, arrival=2.0)
         early = make_request(prompt=100, arrival=1.0)
         queue.push(late)
         queue.push(early)
         assert queue.pop() is early
         assert queue.pop() is late
-
-    def test_sjf_orders_by_prompt_length(self):
-        queue = RequestQueue(ordering="sjf")
-        long = make_request(prompt=100, arrival=1.0)
-        short = make_request(prompt=1, arrival=2.0)
-        queue.push(long)
-        queue.push(short)
-        assert queue.pop() is short
 
     def test_bounded_depth_drops(self):
         queue = RequestQueue(max_depth=2)
@@ -47,12 +39,8 @@ class TestRequestQueue:
         with pytest.raises(ConfigurationError):
             RequestQueue().pop()
 
-    def test_unknown_ordering_rejected(self):
-        with pytest.raises(ConfigurationError):
-            RequestQueue(ordering="random")
-
     def test_requeue_restores_head(self):
-        queue = RequestQueue(ordering="fcfs")
+        queue = RequestQueue()
         first = make_request(arrival=1.0)
         second = make_request(arrival=2.0)
         queue.push(first)

@@ -181,18 +181,28 @@ def test_streaming_mode_reproduces_exact_timeline(backend, monkeypatch, router):
     "router,prefix_cache",
     [("least-loaded", False), ("cache-aware", True)],
 )
-def test_incremental_routing_matches_polling(backend, router, prefix_cache):
-    """The O(1) router state never changes a routing decision."""
+def test_incremental_routing_matches_polling(
+    backend, router, prefix_cache, monkeypatch
+):
+    """The O(1) router state never changes a routing decision.
+
+    The polling side runs the same event loop with the reference
+    ``_route_fn`` patched in where ``_serve`` builds the incremental router.
+    """
     num_requests = 200
     results = {}
     for incremental in (False, True):
         system = make_sharded(
-            backend,
-            num_requests,
-            router=router,
-            prefix_cache=prefix_cache,
-            incremental_routing=incremental,
+            backend, num_requests, router=router, prefix_cache=prefix_cache
         )
+        if not incremental:
+            monkeypatch.setattr(
+                system,
+                "_incremental_route_fn",
+                lambda shard_router, cores, system=system: system._route_fn(
+                    shard_router
+                ),
+            )
         results[incremental] = run_stream(system, num_requests)
     polling, incremental = results[False], results[True]
     assert incremental.makespan == polling.makespan
@@ -262,13 +272,7 @@ def test_load_counter_matches_scan(backend):
     workload = chat(generation_len=GENERATION_LEN, num_requests=num_requests)
     policy = backend.select_policy(workload)
     step_model = EngineStepModel(backend, workload, policy)
-    core = EngineCore(
-        backend=backend,
-        workload=workload,
-        policy=policy,
-        step_model=step_model,
-        max_queue_depth=8,
-    )
+    core = EngineCore(step_model=step_model, max_queue_depth=8)
     rate = 4.0 * offline_capacity(backend, workload, policy)
     stream = PoissonProcess(rate).generate_lazy(
         workload, count=num_requests, seed=SEED
